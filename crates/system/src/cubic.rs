@@ -6,6 +6,7 @@ use vamor_linalg::{CooMatrix, CsrMatrix, Matrix, Vector};
 
 use crate::error::SystemError;
 use crate::lti::LtiSystem;
+use crate::poly::{add_scaled_column, FactoredTensor, PolyTerm};
 use crate::traits::PolynomialStateSpace;
 use crate::Result;
 
@@ -19,13 +20,14 @@ use crate::Result;
 /// where the quadratic part `G₂` is optional (the varistor model only has the
 /// cubic term). `G₃` has shape `n × n³` and is stored sparsely. `G₁` is also
 /// stored sparsely with a lazily materialized dense view, mirroring
-/// [`crate::Qldae`].
+/// [`crate::Qldae`]. A projected ROM may evaluate `G₂`/`G₃` through a
+/// [`FactoredTensor`] (see [`CubicOde::with_factored`]).
 #[derive(Debug, Clone)]
 pub struct CubicOde {
     g1: CsrMatrix,
     g1_dense: OnceLock<Matrix>,
-    g2: Option<CsrMatrix>,
-    g3: CsrMatrix,
+    g2: Option<PolyTerm>,
+    g3: PolyTerm,
     b: Matrix,
     c: Matrix,
 }
@@ -127,8 +129,8 @@ impl CubicOde {
         Ok(CubicOde {
             g1,
             g1_dense,
-            g2,
-            g3,
+            g2: g2.map(|g2| PolyTerm::new(g2, 2)),
+            g3: PolyTerm::new(g3, 3),
             b,
             c,
         })
@@ -147,12 +149,46 @@ impl CubicOde {
 
     /// The optional quadratic coupling matrix `G₂`.
     pub fn g2(&self) -> Option<&CsrMatrix> {
-        self.g2.as_ref()
+        self.g2.as_ref().map(PolyTerm::tensor)
     }
 
     /// The cubic coupling matrix `G₃` (`n × n³`, sparse).
     pub fn g3(&self) -> &CsrMatrix {
-        &self.g3
+        self.g3.tensor()
+    }
+
+    /// The factored evaluator of `G₂`, if the projection chose one.
+    pub fn g2_factored(&self) -> Option<&FactoredTensor> {
+        self.g2.as_ref().and_then(PolyTerm::factored)
+    }
+
+    /// The factored evaluator of `G₃`, if the projection chose one.
+    pub fn g3_factored(&self) -> Option<&FactoredTensor> {
+        self.g3.factored()
+    }
+
+    /// Evaluates the term of `factored`'s degree (`G₂` or `G₃`) through it
+    /// from now on. [`CubicOde::g2`]/[`CubicOde::g3`] keep returning the
+    /// stored tensors, so `factored` must represent the one it replaces (as
+    /// [`FactoredTensor::restrict`] of the full model's tensor with the
+    /// bases that projected it does).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::Dimension`] when the order differs from this
+    /// system's and [`SystemError::Invalid`] for a quadratic factor on a
+    /// system without `G₂`.
+    pub fn with_factored(mut self, factored: FactoredTensor) -> Result<Self> {
+        match (factored.degree(), self.g2.as_mut()) {
+            (3, _) => self.g3.set_factored(factored)?,
+            (_, Some(g2)) => g2.set_factored(factored)?,
+            (_, None) => {
+                return Err(SystemError::Invalid(
+                    "a factored quadratic term needs a system with G2".into(),
+                ))
+            }
+        }
+        Ok(self)
     }
 
     /// The input matrix `B`.
@@ -183,12 +219,7 @@ impl CubicOde {
         let n = self.order();
         assert_eq!(x.len(), n, "cubic_term: dimension mismatch");
         let mut out = Vector::zeros(n);
-        for (i, col, g) in self.g3.iter() {
-            let p = col / (n * n);
-            let q = (col / n) % n;
-            let r = col % n;
-            out[i] += g * x[p] * x[q] * x[r];
-        }
+        self.g3.accumulate_into(x, &mut out, &mut Vec::new());
         out
     }
 
@@ -200,10 +231,11 @@ impl CubicOde {
     pub fn quadratic_term(&self, x: &Vector) -> Vector {
         let n = self.order();
         assert_eq!(x.len(), n, "quadratic_term: dimension mismatch");
-        match &self.g2 {
-            Some(g2) => g2.matvec_kron(x, x),
-            None => Vector::zeros(n),
+        let mut out = Vector::zeros(n);
+        if let Some(g2) = &self.g2 {
+            g2.accumulate_into(x, &mut out, &mut Vec::new());
         }
+        out
     }
 
     /// The linearization around the origin.
@@ -229,22 +261,23 @@ impl PolynomialStateSpace for CubicOde {
         self.c.rows()
     }
 
-    fn rhs(&self, x: &Vector, u: &[f64]) -> Vector {
+    fn rhs_into(&self, x: &Vector, u: &[f64], out: &mut Vector, scratch: &mut Vec<f64>) {
         assert_eq!(x.len(), self.order(), "cubic rhs: state dimension mismatch");
         assert_eq!(
             u.len(),
             self.num_inputs(),
             "cubic rhs: input dimension mismatch"
         );
-        let mut dx = self.g1.matvec(x);
-        dx.axpy(1.0, &self.quadratic_term(x));
-        dx.axpy(1.0, &self.cubic_term(x));
+        self.g1.matvec_into(x, out);
+        if let Some(g2) = &self.g2 {
+            g2.accumulate_into(x, out, scratch);
+        }
+        self.g3.accumulate_into(x, out, scratch);
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
-                dx.axpy(uk, &self.b.col(k));
+                add_scaled_column(out, uk, &self.b, k);
             }
         }
-        dx
     }
 
     fn jacobian_x(&self, x: &Vector, u: &[f64]) -> Matrix {
@@ -263,21 +296,8 @@ impl PolynomialStateSpace for CubicOde {
         for (i, j, v) in self.g1.iter() {
             jac[(i, j)] += v;
         }
-        if let Some(g2) = &self.g2 {
-            for (i, col, g) in g2.iter() {
-                let p = col / n;
-                let q = col % n;
-                jac[(i, p)] += g * x[q];
-                jac[(i, q)] += g * x[p];
-            }
-        }
-        for (i, col, g) in self.g3.iter() {
-            let p = col / (n * n);
-            let q = (col / n) % n;
-            let r = col % n;
-            jac[(i, p)] += g * x[q] * x[r];
-            jac[(i, q)] += g * x[p] * x[r];
-            jac[(i, r)] += g * x[p] * x[q];
+        for term in self.g2.iter().chain([&self.g3]) {
+            term.jacobian_entries(x, |i, j, v| jac[(i, j)] += v);
         }
         jac
     }
@@ -298,21 +318,8 @@ impl PolynomialStateSpace for CubicOde {
         for (i, j, v) in self.g1.iter() {
             coo.push(i, j, v);
         }
-        if let Some(g2) = &self.g2 {
-            for (i, col, g) in g2.iter() {
-                let p = col / n;
-                let q = col % n;
-                coo.push(i, p, g * x[q]);
-                coo.push(i, q, g * x[p]);
-            }
-        }
-        for (i, col, g) in self.g3.iter() {
-            let p = col / (n * n);
-            let q = (col / n) % n;
-            let r = col % n;
-            coo.push(i, p, g * x[q] * x[r]);
-            coo.push(i, q, g * x[p] * x[r]);
-            coo.push(i, r, g * x[p] * x[q]);
+        for term in self.g2.iter().chain([&self.g3]) {
+            term.jacobian_entries(x, |i, j, v| coo.push(i, j, v));
         }
         Some(coo.into_csr())
     }

@@ -13,7 +13,9 @@
 //!
 //! All polynomial systems implement [`PolynomialStateSpace`], the interface
 //! the transient simulator (`vamor-sim`) and the reduction engines
-//! (`vamor-core`) program against.
+//! (`vamor-core`) program against. Their quadratic and cubic terms share one
+//! evaluator, which a projected ROM can run in [`FactoredTensor`] form on the
+//! full model's nonlinear support.
 //!
 //! ```
 //! use vamor_linalg::{CooMatrix, Matrix, Vector};
@@ -40,12 +42,14 @@
 mod cubic;
 mod error;
 mod lti;
+mod poly;
 mod qldae;
 mod traits;
 
 pub use cubic::CubicOde;
 pub use error::SystemError;
 pub use lti::LtiSystem;
+pub use poly::FactoredTensor;
 pub use qldae::{Qldae, QldaeBuilder};
 pub use traits::PolynomialStateSpace;
 

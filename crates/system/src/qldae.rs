@@ -6,6 +6,7 @@ use vamor_linalg::{CooMatrix, CsrMatrix, Matrix, Vector};
 
 use crate::error::SystemError;
 use crate::lti::LtiSystem;
+use crate::poly::{add_scaled_column, FactoredTensor, PolyTerm};
 use crate::traits::PolynomialStateSpace;
 use crate::Result;
 
@@ -29,11 +30,15 @@ use crate::Result;
 /// Lyapunov weights) is materialized lazily on first use of [`Qldae::g1`]
 /// and cached, so purely sparse consumers (the implicit transient at scale)
 /// never pay for it.
+///
+/// A projected ROM may evaluate `G₂` through a [`FactoredTensor`] (see
+/// [`Qldae::with_factored`]); [`Qldae::g2`] still returns the projected
+/// tensor.
 #[derive(Debug, Clone)]
 pub struct Qldae {
     g1: CsrMatrix,
     g1_dense: OnceLock<Matrix>,
-    g2: CsrMatrix,
+    g2: PolyTerm,
     d1: Vec<CsrMatrix>,
     b: Matrix,
     c: Matrix,
@@ -145,7 +150,7 @@ impl Qldae {
         Ok(Qldae {
             g1,
             g1_dense,
-            g2,
+            g2: PolyTerm::new(g2, 2),
             d1,
             b,
             c,
@@ -210,7 +215,26 @@ impl Qldae {
 
     /// The quadratic coupling matrix `G₂` (`n × n²`, sparse).
     pub fn g2(&self) -> &CsrMatrix {
-        &self.g2
+        self.g2.tensor()
+    }
+
+    /// The factored evaluator of `G₂`, if the projection chose one.
+    pub fn g2_factored(&self) -> Option<&FactoredTensor> {
+        self.g2.factored()
+    }
+
+    /// Evaluates `G₂` through `factored` from now on. [`Qldae::g2`] keeps
+    /// returning the stored tensor, so `factored` must represent it (as
+    /// [`FactoredTensor::restrict`] of the full model's `G₂` with the bases
+    /// that projected it does).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::Dimension`] unless `factored` is a quadratic
+    /// term of this system's order.
+    pub fn with_factored(mut self, factored: FactoredTensor) -> Result<Self> {
+        self.g2.set_factored(factored)?;
+        Ok(self)
     }
 
     /// The bilinear input matrices `D₁ᵏ` (empty slice if absent).
@@ -249,7 +273,9 @@ impl Qldae {
     /// Panics if `x.len() != self.order()`.
     pub fn quadratic_term(&self, x: &Vector) -> Vector {
         assert_eq!(x.len(), self.order(), "quadratic_term: dimension mismatch");
-        self.g2.matvec_kron(x, x)
+        let mut out = Vector::zeros(self.order());
+        self.g2.accumulate_into(x, &mut out, &mut Vec::new());
+        out
     }
 
     /// The linearization around the origin as an [`LtiSystem`]
@@ -304,24 +330,30 @@ impl PolynomialStateSpace for Qldae {
         self.c.rows()
     }
 
-    fn rhs(&self, x: &Vector, u: &[f64]) -> Vector {
+    fn rhs_into(&self, x: &Vector, u: &[f64], out: &mut Vector, scratch: &mut Vec<f64>) {
         assert_eq!(x.len(), self.order(), "qldae rhs: state dimension mismatch");
         assert_eq!(
             u.len(),
             self.num_inputs(),
             "qldae rhs: input dimension mismatch"
         );
-        let mut dx = self.g1.matvec(x);
-        dx.axpy(1.0, &self.quadratic_term(x));
+        self.g1.matvec_into(x, out);
+        self.g2.accumulate_into(x, out, scratch);
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
-                dx.axpy(uk, &self.b.col(k));
+                add_scaled_column(out, uk, &self.b, k);
                 if let Some(dk) = self.d1.get(k) {
-                    dx.axpy(uk, &dk.matvec(x));
+                    for i in 0..dk.rows() {
+                        let (cols, vals) = dk.row_entries(i);
+                        let dx = cols
+                            .iter()
+                            .zip(vals)
+                            .fold(0.0, |acc, (&j, v)| acc + v * x[j]);
+                        out[i] += uk * dx;
+                    }
                 }
             }
         }
-        dx
     }
 
     fn jacobian_x(&self, x: &Vector, u: &[f64]) -> Matrix {
@@ -340,13 +372,7 @@ impl PolynomialStateSpace for Qldae {
         for (i, j, v) in self.g1.iter() {
             jac[(i, j)] += v;
         }
-        // d/dx_j [G2 (x⊗x)]_i = Σ_{(i, p*n+q)} g * (δ_{pj} x_q + x_p δ_{qj}).
-        for (i, col, g) in self.g2.iter() {
-            let p = col / n;
-            let q = col % n;
-            jac[(i, p)] += g * x[q];
-            jac[(i, q)] += g * x[p];
-        }
+        self.g2.jacobian_entries(x, |i, j, v| jac[(i, j)] += v);
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
                 if let Some(dk) = self.d1.get(k) {
@@ -375,12 +401,7 @@ impl PolynomialStateSpace for Qldae {
         for (i, j, v) in self.g1.iter() {
             coo.push(i, j, v);
         }
-        for (i, col, g) in self.g2.iter() {
-            let p = col / n;
-            let q = col % n;
-            coo.push(i, p, g * x[q]);
-            coo.push(i, q, g * x[p]);
-        }
+        self.g2.jacobian_entries(x, |i, j, v| coo.push(i, j, v));
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
                 if let Some(dk) = self.d1.get(k) {

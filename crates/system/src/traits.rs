@@ -23,13 +23,34 @@ pub trait PolynomialStateSpace {
     /// Number of outputs.
     fn num_outputs(&self) -> usize;
 
-    /// Right-hand side `f(x, u)` of `ẋ = f(x, u)`.
+    /// Right-hand side `f(x, u)` of `ẋ = f(x, u)`, written into `out`
+    /// (length [`PolynomialStateSpace::order`]; overwritten, not added to).
+    ///
+    /// This is the one evaluation every system implements; steppers call it
+    /// with buffers they own, so an integration loop does not allocate.
+    /// `scratch` is caller-owned working memory (for the factored ROM terms,
+    /// `z = P x`): pass the same vector to every call — it grows on the first
+    /// call and is reused after that. Keeping scratch with the caller, rather
+    /// than in the system, leaves `&dyn PolynomialStateSpace` shareable across
+    /// threads.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `x.len() != self.order()` or
-    /// `u.len() != self.num_inputs()`.
-    fn rhs(&self, x: &Vector, u: &[f64]) -> Vector;
+    /// Implementations may panic if `x.len() != self.order()`,
+    /// `u.len() != self.num_inputs()` or `out.len() != self.order()`.
+    fn rhs_into(&self, x: &Vector, u: &[f64], out: &mut Vector, scratch: &mut Vec<f64>);
+
+    /// Right-hand side `f(x, u)` as a fresh vector: a convenience wrapper
+    /// over [`PolynomialStateSpace::rhs_into`] for callers off the hot path.
+    ///
+    /// # Panics
+    ///
+    /// As for [`PolynomialStateSpace::rhs_into`].
+    fn rhs(&self, x: &Vector, u: &[f64]) -> Vector {
+        let mut out = Vector::zeros(self.order());
+        self.rhs_into(x, u, &mut out, &mut Vec::new());
+        out
+    }
 
     /// Jacobian `∂f/∂x` evaluated at `(x, u)`, used by implicit integrators.
     ///

@@ -24,11 +24,11 @@ pub struct AnalyzeConfig {
 }
 
 impl AnalyzeConfig {
-    /// The vamor solver surface (see ISSUE/README): linalg + core + sim +
-    /// obs sources, indexing checks on the cache/control/par orchestration
+    /// The vamor solver surface (see README): linalg + core + sim + obs +
+    /// system sources, indexing checks on the cache/control/par orchestration
     /// modules, lock discipline on `shift_cache.rs` and the session shared
-    /// state (`budget.rs`, `session.rs`), allocation checks on the four
-    /// kernel files.
+    /// state (`budget.rs`, `session.rs`), allocation checks on the linalg
+    /// kernel files and the polynomial-system evaluators.
     pub fn vamor() -> Self {
         AnalyzeConfig {
             panic_dirs: [
@@ -36,6 +36,7 @@ impl AnalyzeConfig {
                 "crates/core/src",
                 "crates/sim/src",
                 "crates/obs/src",
+                "crates/system/src",
             ]
             .iter()
             .map(PathBuf::from)
@@ -57,6 +58,9 @@ impl AnalyzeConfig {
                 "crates/linalg/src/vector.rs",
                 "crates/linalg/src/sparse.rs",
                 "crates/linalg/src/kron.rs",
+                "crates/system/src/poly.rs",
+                "crates/system/src/qldae.rs",
+                "crates/system/src/cubic.rs",
             ]
             .iter()
             .map(PathBuf::from)
@@ -196,8 +200,9 @@ mod tests {
     #[test]
     fn vamor_config_names_the_solver_surface() {
         let cfg = AnalyzeConfig::vamor();
-        assert_eq!(cfg.panic_dirs.len(), 4);
+        assert_eq!(cfg.panic_dirs.len(), 5);
         assert!(cfg.panic_dirs.contains(&PathBuf::from("crates/obs/src")));
+        assert!(cfg.panic_dirs.contains(&PathBuf::from("crates/system/src")));
         assert_eq!(cfg.lock_files.len(), 3);
         assert!(cfg
             .lock_files
@@ -208,6 +213,9 @@ mod tests {
         assert!(cfg
             .lock_files
             .contains(&PathBuf::from("crates/core/src/session.rs")));
-        assert_eq!(cfg.alloc_files.len(), 4);
+        assert_eq!(cfg.alloc_files.len(), 7);
+        assert!(cfg
+            .alloc_files
+            .contains(&PathBuf::from("crates/system/src/qldae.rs")));
     }
 }
