@@ -15,27 +15,43 @@
 //! the projection matrix must span. [`AssocMomentGenerator`] computes those
 //! moment vectors directly from the structured realizations:
 //!
-//! * the `G₁⊕G₁` resolvent powers are Lyapunov solves (Bartels–Stewart with
-//!   the cached Schur form of `G₁`),
-//! * the `G₁⊕G̃₂` resolvent powers are big-left/small-right Sylvester solves
-//!   ([`crate::bigsmall`]) against the structured block operator
-//!   [`crate::operators::BlockH2Op`], and the two terms of `H̃₃` are
-//!   transposes of one another so only one solve sequence is required,
+//! * the `G₁⊕G₁` resolvent powers of `H₂` are Lyapunov solves
+//!   (Bartels–Stewart with the cached Schur form of `G₁`);
+//! * the `G₁⊕G̃₂` resolvent powers of `H̃₃` are back-substituted through the
+//!   block-triangular `G̃₂ = [[G₁, G₂], [0, G₁⊕G₁]]` block by block. With
+//!   the iterate split as `Z = [Z₁; Z₂]`, the bottom block `Z₂` is the
+//!   triple-Kronecker chain `(G₁⊕G₁⊕G₁)^{-j} (b⊗b⊗b)`, which stays in the
+//!   Schur coordinates of `G₁` for every step
+//!   ([`vamor_linalg::TripleKronSchur`], about `3n⁴` flops a step). The top
+//!   block takes one `n × n` Lyapunov solve a step,
+//!   `G₁Z₁ + Z₁G₁ᵀ = Z₁′ − G₂Z₂`, where `G₂Z₂` reads only the fibers of `Z₂`
+//!   on `G₂`'s column support. The two terms of `H̃₃` are transposes of one
+//!   another, so one chain serves both;
+//! * [`CubicAssocMomentGenerator`] runs the same tensor chain and gathers
+//!   it on `G₃`'s column support.
 //!
-//! exactly the computational structure §2.3 of the paper describes, with the
+//! With solver caching off, the `H₃` chains instead solve every step as a
+//! big-left/small-right Sylvester equation ([`crate::bigsmall`]) against the
+//! structured operator [`crate::operators::BlockH2Op`] (or `G₁⊕G₁` for the
+//! cubic chain), moving the whole `(n + n²) × n` iterate into and out of
+//! Schur coordinates on every solve. That path is kept as the parity oracle
+//! of the cached one and as the baseline of the solver-cache speedup.
+//!
+//! This is the computational structure §2.3 of the paper describes, with the
 //! dimension growing as `O(k₁+k₂+k₃)` instead of the `O(k₁+k₂³+k₃⁴)` of
 //! multivariate (NORM-style) moment matching.
 
 use std::sync::Arc;
 
-use vamor_linalg::kron::vec_of;
+use vamor_linalg::kron::{unvec, vec_of};
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, SolverBackend, Vector,
+    kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, SolverBackend, TripleKronSchur,
+    Vector,
 };
 use vamor_system::{CubicOde, Qldae};
 
-use crate::bigsmall::{solve_sylvester_big_small, solve_sylvester_big_small_with_schur};
+use crate::bigsmall::solve_sylvester_big_small;
 use crate::error::MorError;
 use crate::operators::{BlockH2Op, KronSumOp2, ShiftedSolveOp};
 use crate::Result;
@@ -124,15 +140,16 @@ pub(crate) fn h1_chain(g1_lu: &G1Factor, seed: Vector, count: usize) -> Result<S
 }
 
 /// Rescales the recursion state of a moment chain so every stored vector
-/// stays `O(1)`; returns the `log10` of the applied factor (to be added to
-/// the running frame magnitude).
-pub(crate) fn rescale_state(state: &mut [&mut Vector], extra: Option<&mut Matrix>) -> f64 {
+/// stays `O(1)`: the vectors in `state` and the raw buffers in `extra` (a
+/// chain's matrix or tensor iterates) share one factor. Returns the `log10`
+/// of the applied factor (to be added to the running frame magnitude).
+pub(crate) fn rescale_state(state: &mut [&mut Vector], extra: &mut [&mut [f64]]) -> f64 {
     let mut peak = 0.0_f64;
     for v in state.iter() {
         peak = peak.max(v.norm_inf());
     }
-    if let Some(m) = &extra {
-        peak = peak.max(m.max_abs());
+    for m in extra.iter() {
+        peak = m.iter().fold(peak, |acc, x| acc.max(x.abs()));
     }
     if peak == 0.0 || !peak.is_finite() {
         return 0.0;
@@ -141,26 +158,80 @@ pub(crate) fn rescale_state(state: &mut [&mut Vector], extra: Option<&mut Matrix
     for v in state.iter_mut() {
         v.scale_mut(inv);
     }
-    if let Some(m) = extra {
-        for x in m.as_mut_slice() {
+    for m in extra.iter_mut() {
+        for x in m.iter_mut() {
             *x *= inv;
         }
     }
     peak.log10()
 }
 
+/// The triple-Kronecker chain `Y_j = (G₁⊕G₁⊕G₁)^{-j} (b⊗b⊗b)` of the `H₃`
+/// realizations, kept in the Schur coordinates of `G₁`, together with the
+/// mode-1 fibers `Y_j[:, j, k]` (back in original coordinates) that a
+/// sparse tensor `G` reads. Column `c` of `G` names the fiber with
+/// `j·n + k = c mod n²`: `G₂` (`n²` columns) multiplies the `n² × n` matrix
+/// view of `Y_j`, whose rows are these fibers, and `G₃` (`n³` columns)
+/// reads entry `c / n²` of its fiber.
+struct TensorChain<'g> {
+    kernel: TripleKronSchur<'g>,
+    y: Vec<f64>,
+    /// Distinct trailing indices `c mod n²` of `G`'s columns, ascending.
+    pairs: Vec<usize>,
+    /// Mode-1 fiber of `Y_j` for each entry of `pairs`.
+    fibers: Vec<f64>,
+    work: Vec<f64>,
+}
+
+impl<'g> TensorChain<'g> {
+    fn new(schur: &'g SchurDecomposition, b: &Vector, g: &CsrMatrix) -> Result<Self> {
+        let kernel = TripleKronSchur::new(schur);
+        let n = kernel.order();
+        let mut pairs: Vec<usize> = g.iter().map(|(_, c, _)| c % (n * n)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(TensorChain {
+            y: kernel.seed(b).map_err(MorError::Linalg)?,
+            fibers: vec![0.0; pairs.len() * n],
+            work: vec![0.0; kernel.gather_work_len()],
+            pairs,
+            kernel,
+        })
+    }
+
+    /// One chain step, `Y_j = (G₁⊕G₁⊕G₁)⁻¹ Y_{j−1}`, then the gather.
+    fn step(&mut self) -> Result<()> {
+        {
+            let _span = vamor_obs::span!("h3_tensor_solve");
+            self.kernel
+                .solve_into(&mut self.y)
+                .map_err(MorError::Linalg)?;
+        }
+        let _span = vamor_obs::span!("h3_support_gather");
+        self.kernel
+            .gather_into(&self.y, &self.pairs, &mut self.work, &mut self.fibers)
+            .map_err(MorError::Linalg)
+    }
+
+    /// The gathered fiber read by column `c` of `G`.
+    fn fiber(&self, c: usize) -> Result<&[f64]> {
+        let n = self.kernel.order();
+        let slot = self.pairs.binary_search(&(c % (n * n))).map_err(|_| {
+            MorError::Invalid(format!("column {c} is outside the gathered support"))
+        })?;
+        Ok(&self.fibers[slot * n..(slot + 1) * n])
+    }
+}
+
 /// The stamp-keyed solver artifacts a [`ReductionSession`](crate::session)
 /// shares across requests: the `s = 0` factorization of `G₁`, its Schur
-/// form, and the structured `H₂`/`H₃` block operators with their embedded
-/// shifted-solve caches. Cheap to clone (all `Arc`s); every artifact is
-/// immutable or internally synchronized, so one set serves concurrent
-/// requests.
+/// form, and the `G₁ ⊕ G₁` Lyapunov operator. Cheap to clone (all `Arc`s);
+/// every artifact is immutable, so one set serves concurrent requests.
 #[derive(Debug, Clone)]
 pub struct SharedAssocArtifacts {
     pub(crate) g1_lu: Arc<G1Factor>,
     pub(crate) recovery: PivotRecovery,
     pub(crate) kron_op: Arc<KronSumOp2>,
-    pub(crate) block_op: Arc<BlockH2Op>,
     pub(crate) g1_schur: Arc<SchurDecomposition>,
     pub(crate) n: usize,
 }
@@ -181,16 +252,10 @@ impl SharedAssocArtifacts {
             G1Factor::build_with_recovery(qldae.g1_csr(), g1, sparse).map_err(MorError::Linalg)?;
         let kron_op = KronSumOp2::new(g1)?;
         let g1_schur = Arc::new(kron_op.a_schur());
-        let block_op = if sparse {
-            BlockH2Op::with_kron_sparse(g1, qldae.g2(), kron_op.clone(), true, qldae.g1_csr())?
-        } else {
-            BlockH2Op::with_kron(g1, qldae.g2(), kron_op.clone(), true)?
-        };
         Ok(SharedAssocArtifacts {
             g1_lu: Arc::new(g1_lu),
             recovery,
             kron_op: Arc::new(kron_op),
-            block_op: Arc::new(block_op),
             g1_schur,
             n,
         })
@@ -207,12 +272,51 @@ impl SharedAssocArtifacts {
     }
 
     /// Approximate heap footprint for the session memory-budget governor:
-    /// the `G₁` factor, the dense Schur pair, and the block operator's
-    /// resident structure (its shifted-solve cache grows beyond this as
-    /// shifts accumulate — the estimate covers the fixed part).
+    /// the `G₁` factor, the dense Schur pair of `G₁` (`2n²`) and the
+    /// `G₁ ⊕ G₁` Lyapunov operator (`G₁` and the Schur factors it solves
+    /// with, `3n²`; its transposed copies are not counted). The chain
+    /// iterates, including the `n³` tensor of an `H₃` chain, belong to the
+    /// request, not to the stamp.
     pub fn approx_bytes(&self) -> usize {
         let n = self.n;
-        self.g1_lu.approx_bytes() + 2 * n * n * 8 + 3 * n * n * 8
+        self.g1_lu.approx_bytes() + (2 + 3) * n * n * 8
+    }
+}
+
+/// How the `H₃` chains of a generator solve their steps.
+#[derive(Debug)]
+enum H3Solver {
+    /// Cached: the tensor chain stays in the Schur coordinates of `G₁`.
+    Schur(Arc<SchurDecomposition>),
+    /// Uncached legacy: big-left/small-right Sylvester solves against the
+    /// structured `G̃₂`.
+    Legacy(Box<BlockH2Op>),
+}
+
+/// The iterate of a QLDAE `H₃` chain, `G̃₂ Z_j + Z_j G₁ᵀ = Z_{j−1}` from
+/// `Z₀ = b̃₂ bᵀ`, in the form its solver keeps it.
+enum H3Iterate<'g> {
+    /// `Z = [Z₁; Z₂]` with the top block `Z₁` (`n × n`) and the bottom
+    /// block `Z₂` as the Schur-coordinate tensor chain.
+    Schur {
+        bottom: TensorChain<'g>,
+        top: Matrix,
+    },
+    /// The whole `(n + n²) × n` iterate.
+    Legacy {
+        op: &'g BlockH2Op,
+        g1t: Matrix,
+        z: Matrix,
+    },
+}
+
+impl H3Iterate<'_> {
+    /// The chain state the common rescaling covers.
+    fn buffers(&mut self) -> [&mut [f64]; 2] {
+        match self {
+            H3Iterate::Schur { bottom, top } => [&mut bottom.y, top.as_mut_slice()],
+            H3Iterate::Legacy { z, .. } => [z.as_mut_slice(), &mut []],
+        }
     }
 }
 
@@ -223,15 +327,12 @@ pub struct AssocMomentGenerator<'a> {
     g1_lu: Arc<G1Factor>,
     recovery: PivotRecovery,
     kron_op: Arc<KronSumOp2>,
-    block_op: Arc<BlockH2Op>,
-    /// Schur form of `G₁` (as the Schur of `(G₁ᵀ)ᵀ`), reused by every
-    /// big-left/small-right Sylvester solve when caching is on.
-    g1_schur: Option<Arc<SchurDecomposition>>,
+    h3: H3Solver,
 }
 
 impl<'a> AssocMomentGenerator<'a> {
-    /// Prepares the cached factorizations (`LU(G₁)`, one shared Schur of
-    /// `G₁`, the shifted-LU cache of the block realization).
+    /// Prepares the cached factorizations (`LU(G₁)` and one shared Schur
+    /// form of `G₁`).
     ///
     /// # Errors
     ///
@@ -245,9 +346,10 @@ impl<'a> AssocMomentGenerator<'a> {
     ///
     /// With `caching` disabled every structured operator refactorizes exactly
     /// as the pre-cache implementation did (duplicate Schur forms, LU per
-    /// shifted solve, Schur per Sylvester call); this path exists so the
-    /// speedup and the bit-level agreement of the cached path can be measured
-    /// against it.
+    /// shifted solve, Schur per Sylvester call, the `H₃` iterate moved into
+    /// and out of Schur coordinates on every solve); this path exists so the
+    /// speedup and the agreement of the cached path can be measured against
+    /// it.
     ///
     /// # Errors
     ///
@@ -257,10 +359,10 @@ impl<'a> AssocMomentGenerator<'a> {
     }
 
     /// Prepares the generator with an explicit linear-solver backend for the
-    /// `G₁` solves (the repeated `G₁⁻¹` applications of the moment chains
-    /// and the shifted top-block solves of the `H₃` realization). `Auto`
-    /// switches to the sparse direct solver at `n ≥ 256`; the `G₁ ⊕ G₁`
-    /// Schur machinery of the bottom block is dense in every mode.
+    /// `G₁` solves (the repeated `G₁⁻¹` applications of the moment chains,
+    /// and the shifted top-block solves of the uncached `H₃` realization).
+    /// `Auto` switches to the sparse direct solver at `n ≥ 256`; the
+    /// Kronecker-sum Schur machinery is dense in every mode.
     ///
     /// # Errors
     ///
@@ -286,16 +388,14 @@ impl<'a> AssocMomentGenerator<'a> {
             g1_lu: Arc::new(g1_lu),
             recovery,
             kron_op: Arc::new(kron_op),
-            block_op: Arc::new(block_op),
-            g1_schur: None,
+            h3: H3Solver::Legacy(Box::new(block_op)),
         })
     }
 
     /// Builds a generator on top of session-shared artifacts: no
     /// factorization happens here — the `G₁` LU, the Schur form and the
-    /// block operator (with its shifted-solve cache) are the shared ones,
-    /// so every request of a session amortizes the same `s = 0` and
-    /// eigenvalue-shift factorizations.
+    /// Lyapunov operator are the shared ones, so every request of a session
+    /// amortizes the same `s = 0` factorizations.
     ///
     /// # Errors
     ///
@@ -318,8 +418,7 @@ impl<'a> AssocMomentGenerator<'a> {
             g1_lu: shared.g1_lu.clone(),
             recovery: shared.recovery,
             kron_op: shared.kron_op.clone(),
-            block_op: shared.block_op.clone(),
-            g1_schur: Some(shared.g1_schur.clone()),
+            h3: H3Solver::Schur(shared.g1_schur.clone()),
         }
     }
 
@@ -333,15 +432,9 @@ impl<'a> AssocMomentGenerator<'a> {
     /// downstream consumers (the stabilized projection, the spectral guard)
     /// can reuse it instead of refactorizing.
     pub fn g1_schur(&self) -> Option<&SchurDecomposition> {
-        self.g1_schur.as_deref()
-    }
-
-    /// Solves `op · X + X · G₁ᵀ = r`, reusing the cached Schur of `G₁` when
-    /// available.
-    fn solve_big_small(&self, op: &dyn ShiftedSolveOp, g1t: &Matrix, r: &Matrix) -> Result<Matrix> {
-        match &self.g1_schur {
-            Some(schur) => solve_sylvester_big_small_with_schur(op, schur, r),
-            None => solve_sylvester_big_small(op, g1t, r),
+        match &self.h3 {
+            H3Solver::Schur(schur) => Some(schur),
+            H3Solver::Legacy(_) => None,
         }
     }
 
@@ -452,14 +545,14 @@ impl<'a> AssocMomentGenerator<'a> {
             let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
             state.push(&mut w);
             state.push(&mut d_chain);
-            frame += rescale_state(&mut state, None);
+            frame += rescale_state(&mut state, &mut []);
         }
         Ok(out)
     }
 
     /// [`AssocMomentGenerator::h3_moments`] with chain scaling (see
     /// [`AssocMomentGenerator::h2_moments_scaled`]; here the rescaled state
-    /// additionally includes the `Z_j` Sylvester iterate).
+    /// additionally includes the `Z_j` iterate).
     ///
     /// # Errors
     ///
@@ -469,33 +562,13 @@ impl<'a> AssocMomentGenerator<'a> {
             return Ok(ScaledMoments::with_capacity(0));
         }
         let n = self.n();
-        let b = self.b_col(input)?;
-        let d1b = self.d1(input).map(|d| d.matvec(&b));
-        let btilde = self.block_op.btilde(&b, d1b.as_ref());
-        let m = self.block_op.dim();
-
-        let g1t = self.qldae.g1().transpose();
-        let mut z = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                z[(i, j)] = btilde[i] * b[j];
-            }
-        }
-        let mut d_chain = match (self.d1(input), &d1b) {
-            (Some(d), Some(db)) => d.matvec(db),
-            _ => Vector::zeros(n),
-        };
-
+        let (mut iterate, mut d_chain) = self.h3_start(input)?;
         let mut acc: Vec<Vector> = Vec::with_capacity(count);
         let mut scratch = Vector::zeros(n);
         let mut out = ScaledMoments::with_capacity(count);
         let mut frame = 0.0;
         for _ in 0..count {
-            z = self.solve_big_small(&*self.block_op, &g1t, &z)?;
-            let s = z.submatrix(0, n, 0, n);
-            let mut nu = vec_of(&s);
-            nu.axpy(1.0, &vec_of(&s.transpose()));
-            let g2nu_k = self.qldae.g2().matvec(&nu);
+            let g2nu_k = self.h3_step(&mut iterate)?;
             for a in acc.iter_mut() {
                 scratch.copy_from(a);
                 self.g1_lu
@@ -516,9 +589,82 @@ impl<'a> AssocMomentGenerator<'a> {
 
             let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
             state.push(&mut d_chain);
-            frame += rescale_state(&mut state, Some(&mut z));
+            frame += rescale_state(&mut state, &mut iterate.buffers());
         }
         Ok(out)
+    }
+
+    /// Starts the `H₃` chain of `input` from `Z₀ = b̃₂ bᵀ`; also returns the
+    /// `D₁² b` term.
+    fn h3_start(&self, input: usize) -> Result<(H3Iterate<'_>, Vector)> {
+        let n = self.n();
+        let b = self.b_col(input)?;
+        let d1b = self.d1(input).map(|d| d.matvec(&b));
+        let d1d1b = match (self.d1(input), &d1b) {
+            (Some(d), Some(db)) => d.matvec(db),
+            _ => Vector::zeros(n),
+        };
+        let iterate = match &self.h3 {
+            H3Solver::Schur(schur) => H3Iterate::Schur {
+                bottom: TensorChain::new(schur, &b, self.qldae.g2())?,
+                top: match &d1b {
+                    Some(db) => Matrix::from_fn(n, n, |i, j| db[i] * b[j]),
+                    None => Matrix::zeros(n, n),
+                },
+            },
+            H3Solver::Legacy(op) => {
+                let btilde = op.btilde(&b, d1b.as_ref());
+                let m = op.dim();
+                let mut z = Matrix::zeros(m, n);
+                for i in 0..m {
+                    for j in 0..n {
+                        z[(i, j)] = btilde[i] * b[j];
+                    }
+                }
+                H3Iterate::Legacy {
+                    op,
+                    g1t: self.qldae.g1().transpose(),
+                    z,
+                }
+            }
+        };
+        Ok((iterate, d1d1b))
+    }
+
+    /// Advances the `H₃` chain by one solve of `G̃₂ Z + Z G₁ᵀ = Z_prev` and
+    /// returns `G₂ ν` with `ν = vec(c̃₂ Z) + vec((c̃₂ Z)ᵀ)`.
+    fn h3_step(&self, iterate: &mut H3Iterate) -> Result<Vector> {
+        let n = self.n();
+        let top = match iterate {
+            H3Iterate::Legacy { op, g1t, z } => {
+                *z = solve_sylvester_big_small(*op, g1t, z)?;
+                z
+            }
+            H3Iterate::Schur { bottom, top } => {
+                bottom.step()?;
+                let _span = vamor_obs::span!("h3_top_lyapunov");
+                // G₁Z₁ + Z₁G₁ᵀ = Z₁′ − G₂Z₂, where row r of G₂Z₂ is
+                // Σ_c G₂[r, c] Z₂[c, :] and row c of the n² × n matrix Z₂ is
+                // the gathered fiber of column c.
+                let g2 = self.qldae.g2();
+                for r in 0..n {
+                    let (cols, vals) = g2.row_entries(r);
+                    for (&c, &g) in cols.iter().zip(vals) {
+                        let fiber = bottom.fiber(c)?;
+                        for (x, f) in top.row_mut(r).iter_mut().zip(fiber) {
+                            *x -= g * f;
+                        }
+                    }
+                }
+                let z1 = self.kron_op.solve_shifted(0.0, &vec_of(top))?;
+                *top = unvec(&z1, n, n).map_err(MorError::Linalg)?;
+                top
+            }
+        };
+        // ν[k] = S[k mod n, k / n] + S[k / n, k mod n], S = the top n × n
+        // block.
+        let nu = Vector::from_fn(n * n, |k| top[(k % n, k / n)] + top[(k / n, k % n)]);
+        Ok(self.qldae.g2().matvec(&nu))
     }
 
     /// Moments of the associated second-order transfer function `H₂(s)`
@@ -596,41 +742,19 @@ impl<'a> AssocMomentGenerator<'a> {
     /// # Errors
     ///
     /// Returns an error for an invalid input index or singular pencils in the
-    /// inner Sylvester solves.
+    /// inner solves.
     pub fn h3_moments(&self, input: usize, count: usize) -> Result<Vec<Vector>> {
         if count == 0 {
             return Ok(Vec::new());
         }
         let n = self.n();
-        let b = self.b_col(input)?;
-        let d1b = self.d1(input).map(|d| d.matvec(&b));
-        let btilde = self.block_op.btilde(&b, d1b.as_ref());
-        let m = self.block_op.dim();
-
-        // Z_j sequence: G̃₂ Z + Z G₁ᵀ = (previous), starting from b̃₂ bᵀ.
-        let g1t = self.qldae.g1().transpose();
-        let mut rhs = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                rhs[(i, j)] = btilde[i] * b[j];
-            }
-        }
-        // ν_j = vec(c̃₂ Z_j) + vec((c̃₂ Z_j)ᵀ), then G₂ ν_j.
+        // Z_j sequence: G̃₂ Z + Z G₁ᵀ = (previous), starting from b̃₂ bᵀ;
+        // G₂ ν_j with ν_j = vec(c̃₂ Z_j) + vec((c̃₂ Z_j)ᵀ).
+        let (mut iterate, d1d1b) = self.h3_start(input)?;
         let mut g2nu: Vec<Vector> = Vec::with_capacity(count);
-        let mut z = rhs;
         for _ in 0..count {
-            z = self.solve_big_small(&*self.block_op, &g1t, &z)?;
-            let s = z.submatrix(0, n, 0, n); // c̃₂ Z_j  (n×n)
-            let mut nu = vec_of(&s);
-            nu.axpy(1.0, &vec_of(&s.transpose()));
-            g2nu.push(self.qldae.g2().matvec(&nu));
+            g2nu.push(self.h3_step(&mut iterate)?);
         }
-
-        // D₁² b contribution.
-        let d1d1b = match (self.d1(input), &d1b) {
-            (Some(d), Some(db)) => d.matvec(db),
-            _ => Vector::zeros(n),
-        };
 
         let mut acc: Vec<Vector> = Vec::with_capacity(count);
         let mut d_chain = d1d1b;
@@ -668,7 +792,12 @@ impl<'a> AssocMomentGenerator<'a> {
     pub fn dense_h2_realization(&self, input: usize) -> Result<(Matrix, Vector, Matrix)> {
         let n = self.n();
         let b = self.b_col(input)?;
-        let d1b = self.d1(input).map(|d| d.matvec(&b));
+        // b̃₂ = [D₁ b; b ⊗ b].
+        let btilde = match self.d1(input) {
+            Some(d) => d.matvec(&b),
+            None => Vector::zeros(n),
+        }
+        .concat(&kron_vec(&b, &b));
         let dim = n + n * n;
         let mut a = Matrix::zeros(dim, dim);
         a.set_block(0, 0, self.qldae.g1());
@@ -678,7 +807,6 @@ impl<'a> AssocMomentGenerator<'a> {
             n,
             &vamor_linalg::kron_sum(self.qldae.g1(), self.qldae.g1()),
         );
-        let btilde = self.block_op.btilde(&b, d1b.as_ref());
         let mut c = Matrix::zeros(n, dim);
         for i in 0..n {
             c[(i, i)] = 1.0;
@@ -697,8 +825,29 @@ pub struct CubicAssocMomentGenerator<'a> {
     ode: &'a CubicOde,
     g1_lu: G1Factor,
     recovery: PivotRecovery,
-    kron_op: KronSumOp2,
-    g1_schur: Option<SchurDecomposition>,
+    h3: CubicH3Solver,
+}
+
+/// How the `H₃` chains of a [`CubicAssocMomentGenerator`] solve their steps.
+#[derive(Debug)]
+enum CubicH3Solver {
+    /// Cached: the tensor chain stays in the Schur coordinates of `G₁`.
+    Schur(SchurDecomposition),
+    /// Uncached legacy: big-left/small-right Sylvester solves against
+    /// `G₁ ⊕ G₁`.
+    Legacy(Box<KronSumOp2>),
+}
+
+/// The iterate `w_j = (G₁⊕G₁⊕G₁)^{-j} (b⊗b⊗b)` of a cubic `H₃` chain, in the
+/// form its solver keeps it.
+enum CubicH3Iterate<'g> {
+    Schur(TensorChain<'g>),
+    /// `w_j` as the `n² × n` matrix of the big-small Sylvester solve.
+    Legacy {
+        op: &'g KronSumOp2,
+        g1t: Matrix,
+        w: Matrix,
+    },
 }
 
 impl<'a> CubicAssocMomentGenerator<'a> {
@@ -731,18 +880,16 @@ impl<'a> CubicAssocMomentGenerator<'a> {
         let sparse = backend.use_sparse(ode.g1().rows(), SPARSE_AUTO_THRESHOLD);
         let (g1_lu, recovery) = G1Factor::build_with_recovery(ode.g1_csr(), ode.g1(), sparse)
             .map_err(MorError::Linalg)?;
-        let kron_op = if caching {
-            KronSumOp2::new(ode.g1())?
+        let h3 = if caching {
+            CubicH3Solver::Schur(SchurDecomposition::new(ode.g1()).map_err(MorError::Linalg)?)
         } else {
-            KronSumOp2::new_uncached(ode.g1())?
+            CubicH3Solver::Legacy(Box::new(KronSumOp2::new_uncached(ode.g1())?))
         };
-        let g1_schur = caching.then(|| kron_op.a_schur());
         Ok(CubicAssocMomentGenerator {
             ode,
             g1_lu,
             recovery,
-            kron_op,
-            g1_schur,
+            h3,
         })
     }
 
@@ -753,7 +900,10 @@ impl<'a> CubicAssocMomentGenerator<'a> {
 
     /// The cached Schur form of `G₁` (present when solver caching is on).
     pub fn g1_schur(&self) -> Option<&SchurDecomposition> {
-        self.g1_schur.as_ref()
+        match &self.h3 {
+            CubicH3Solver::Schur(schur) => Some(schur),
+            CubicH3Solver::Legacy(_) => None,
+        }
     }
 
     fn n(&self) -> usize {
@@ -806,26 +956,13 @@ impl<'a> CubicAssocMomentGenerator<'a> {
             return Ok(ScaledMoments::with_capacity(0));
         }
         let n = self.n();
-        let b = self.b_col(input)?;
-        let g1t = self.ode.g1().transpose();
-        let bb = kron_vec(&b, &b);
-        let mut w_mat = Matrix::zeros(n * n, n);
-        for j in 0..n {
-            for i in 0..n * n {
-                w_mat[(i, j)] = b[j] * bb[i];
-            }
-        }
+        let mut iterate = self.h3_start(input)?;
         let mut acc: Vec<Vector> = Vec::with_capacity(count);
         let mut scratch = Vector::zeros(n);
         let mut out = ScaledMoments::with_capacity(count);
         let mut frame = 0.0;
         for _ in 0..count {
-            w_mat = match &self.g1_schur {
-                Some(schur) => solve_sylvester_big_small_with_schur(&self.kron_op, schur, &w_mat)?,
-                None => solve_sylvester_big_small(&self.kron_op, &g1t, &w_mat)?,
-            };
-            let w_vec = vec_of(&w_mat);
-            let g3w_k = self.ode.g3().matvec(&w_vec);
+            let g3w_k = self.h3_step(&mut iterate)?;
             for a in acc.iter_mut() {
                 scratch.copy_from(a);
                 self.g1_lu
@@ -840,7 +977,11 @@ impl<'a> CubicAssocMomentGenerator<'a> {
             out.push(m_k, frame);
 
             let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            frame += rescale_state(&mut state, Some(&mut w_mat));
+            let buffer = match &mut iterate {
+                CubicH3Iterate::Schur(chain) => chain.y.as_mut_slice(),
+                CubicH3Iterate::Legacy { w, .. } => w.as_mut_slice(),
+            };
+            frame += rescale_state(&mut state, &mut [buffer]);
         }
         Ok(out)
     }
@@ -848,9 +989,6 @@ impl<'a> CubicAssocMomentGenerator<'a> {
     /// Moments of the associated `H₃(s)` about `s = 0`:
     /// `m_k = Σ_{i+j=k} G₁^{-(i+1)} G₃ w_j` with
     /// `w_j = (G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)`.
-    ///
-    /// The triple Kronecker-sum solve is performed as a big-left/small-right
-    /// Sylvester solve: `(G₁⊕G₁) X + X G₁ᵀ = unvec(r)` with `X ∈ ℝ^{n²×n}`.
     ///
     /// # Errors
     ///
@@ -860,24 +998,10 @@ impl<'a> CubicAssocMomentGenerator<'a> {
             return Ok(Vec::new());
         }
         let n = self.n();
-        let b = self.b_col(input)?;
-        let g1t = self.ode.g1().transpose();
-        // w_0 seed: b ⊗ b ⊗ b as an n² x n matrix (column-major unvec).
-        let bb = kron_vec(&b, &b);
-        let mut w_mat = Matrix::zeros(n * n, n);
-        for j in 0..n {
-            for i in 0..n * n {
-                w_mat[(i, j)] = b[j] * bb[i];
-            }
-        }
+        let mut iterate = self.h3_start(input)?;
         let mut g3w: Vec<Vector> = Vec::with_capacity(count);
         for _ in 0..count {
-            w_mat = match &self.g1_schur {
-                Some(schur) => solve_sylvester_big_small_with_schur(&self.kron_op, schur, &w_mat)?,
-                None => solve_sylvester_big_small(&self.kron_op, &g1t, &w_mat)?,
-            };
-            let w_vec = vec_of(&w_mat);
-            g3w.push(self.ode.g3().matvec(&w_vec));
+            g3w.push(self.h3_step(&mut iterate)?);
         }
 
         let mut acc: Vec<Vector> = Vec::with_capacity(count);
@@ -898,6 +1022,54 @@ impl<'a> CubicAssocMomentGenerator<'a> {
             moments.push(m_k);
         }
         Ok(moments)
+    }
+
+    /// Starts the `H₃` chain of `input` from `w₀ = b ⊗ b ⊗ b`.
+    fn h3_start(&self, input: usize) -> Result<CubicH3Iterate<'_>> {
+        let b = self.b_col(input)?;
+        Ok(match &self.h3 {
+            CubicH3Solver::Schur(schur) => {
+                CubicH3Iterate::Schur(TensorChain::new(schur, &b, self.ode.g3())?)
+            }
+            CubicH3Solver::Legacy(op) => {
+                // w₀ as an n² × n matrix (column-major unvec).
+                let n = b.len();
+                let bb = kron_vec(&b, &b);
+                let mut w = Matrix::zeros(n * n, n);
+                for j in 0..n {
+                    for i in 0..n * n {
+                        w[(i, j)] = b[j] * bb[i];
+                    }
+                }
+                CubicH3Iterate::Legacy {
+                    op,
+                    g1t: self.ode.g1().transpose(),
+                    w,
+                }
+            }
+        })
+    }
+
+    /// Advances the chain one step and returns `G₃ w_j`. The legacy path
+    /// performs the triple Kronecker-sum solve as a big-left/small-right
+    /// Sylvester solve, `(G₁⊕G₁) X + X G₁ᵀ = unvec(w)` with `X ∈ ℝ^{n²×n}`.
+    fn h3_step(&self, iterate: &mut CubicH3Iterate) -> Result<Vector> {
+        match iterate {
+            CubicH3Iterate::Legacy { op, g1t, w } => {
+                *w = solve_sylvester_big_small(*op, g1t, w)?;
+                Ok(self.ode.g3().matvec(&vec_of(w)))
+            }
+            CubicH3Iterate::Schur(chain) => {
+                chain.step()?;
+                // Column c of G₃ reads mode-1 entry c / n² of its fiber.
+                let nn = self.n() * self.n();
+                let mut g3w = Vector::zeros(self.n());
+                for (r, c, g) in self.ode.g3().iter() {
+                    g3w[r] += g * chain.fiber(c)?[c / nn];
+                }
+                Ok(g3w)
+            }
+        }
     }
 }
 

@@ -5,11 +5,14 @@
 //! Op · X + X · B = R,        Op: m×m structured, B: p×p dense, X, R: m×p.
 //! ```
 //!
-//! This is the computational core of the third-order associated transform:
-//! the resolvent `(sI − G₁ ⊕ G̃₂)⁻¹` applied to a vector is, in `vec` space, a
-//! Sylvester equation whose *left* coefficient is the huge block matrix `G̃₂`
-//! (never formed) and whose *right* coefficient is the small `G₁ᵀ`. The same
-//! routine also solves for the decoupling matrix `Π` of Eq. (18).
+//! The uncached `H₃` chains of [`crate::assoc`] run on it: the resolvent
+//! `(sI − G₁ ⊕ G̃₂)⁻¹` applied to a vector is, in `vec` space, a Sylvester
+//! equation whose *left* coefficient is the huge block matrix `G̃₂` (never
+//! formed) and whose *right* coefficient is the small `G₁ᵀ`. (The cached
+//! chains instead back-substitute `G̃₂` block by block, with the bottom block
+//! kept in the Schur coordinates of `G₁`.) The low-rank engine solves its
+//! projected Tucker cores with it, and the same routine also solves for the
+//! decoupling matrix `Π` of Eq. (18).
 //!
 //! The right coefficient is reduced to real Schur form; the left coefficient
 //! only needs shifted solves, which [`ShiftedSolveOp`] provides. Columns are

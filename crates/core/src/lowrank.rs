@@ -501,7 +501,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
 
             let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
             state.push(&mut d_chain);
-            frame += rescale_state(&mut state, Some(&mut what));
+            frame += rescale_state(&mut state, &mut [what.as_mut_slice()]);
         }
         Ok(out)
     }
@@ -812,7 +812,7 @@ impl<'a> LowRankCubicMomentGenerator<'a> {
             out.push(m_k, frame);
 
             let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            frame += rescale_state(&mut state, Some(&mut core));
+            frame += rescale_state(&mut state, &mut [core.as_mut_slice()]);
         }
         Ok(out)
     }

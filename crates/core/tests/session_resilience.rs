@@ -118,8 +118,8 @@ fn stamps_are_lru_evicted_under_the_shared_budget() {
     let b = TransmissionLine::current_driven(17).unwrap();
     let reducer = AssocReducer::new(MomentSpec::new(2, 1, 0));
     let control = RunControl::new();
-    // Big enough for one 17-state stamp (G1 LU + Schur + block op + shift
-    // cache), far too small for two.
+    // Big enough for one 17-state stamp (G1 LU + Schur + Lyapunov operator
+    // + shift cache), far too small for two.
     let session = ReductionSession::new(20_000);
 
     session.reduce(a.qldae(), &reducer, &control).unwrap();

@@ -3,9 +3,10 @@
 //! reproduce the legacy factor-per-call implementation to floating-point
 //! accuracy, while demonstrably serving repeated shifts from the cache.
 
-use vamor_circuits::{TransmissionLine, VaristorCircuit};
+use vamor_circuits::{RfReceiver, TransmissionLine, VaristorCircuit};
 use vamor_core::{
-    AssocMomentGenerator, AssocReducer, BlockH2Op, MomentSpec, ShiftedSolveOp, VolterraKernels,
+    AssocMomentGenerator, AssocReducer, BlockH2Op, CubicAssocMomentGenerator, MomentSpec,
+    ScaledMoments, ShiftedSolveOp, VolterraKernels,
 };
 use vamor_linalg::{Complex, Matrix, Vector};
 
@@ -107,6 +108,50 @@ fn cached_moments_match_fresh_factorization_moments() {
     }
 }
 
+/// Unit-norm candidates and their `log10` magnitudes agree to 1e-10.
+fn assert_scaled_agree(label: &str, cached: &ScaledMoments, legacy: &ScaledMoments) {
+    assert_eq!(
+        cached.vectors.len(),
+        legacy.vectors.len(),
+        "{label}: length"
+    );
+    for (k, (x, y)) in cached.vectors.iter().zip(&legacy.vectors).enumerate() {
+        let diff = (x - y).norm_inf();
+        assert!(diff <= 1e-10, "{label} vector {k}: diff {diff:.3e}");
+        let (a, b) = (cached.log10_magnitudes[k], legacy.log10_magnitudes[k]);
+        assert!((a - b).abs() <= 1e-10, "{label} magnitude {k}: {a} vs {b}");
+    }
+}
+
+/// The cached `H₃` chains (the triple-Kronecker recursion in the Schur
+/// coordinates of `G₁`) against the legacy big-small Sylvester chains, on a
+/// multi-input QLDAE with a complex spectrum and on the cubic varistor.
+#[test]
+fn schur_tensor_h3_chains_match_the_legacy_chains() {
+    let receiver = RfReceiver::new(20).expect("receiver");
+    let q = receiver.qldae();
+    let cached = AssocMomentGenerator::new(q).expect("cached generator");
+    let legacy = AssocMomentGenerator::with_caching(q, false).expect("legacy generator");
+    assert!(cached.g1_schur().is_some() && legacy.g1_schur().is_none());
+    for input in 0..q.b().cols() {
+        assert_scaled_agree(
+            &format!("receiver input {input}"),
+            &cached.h3_moments_scaled(input, 3).expect("cached h3"),
+            &legacy.h3_moments_scaled(input, 3).expect("legacy h3"),
+        );
+    }
+
+    let varistor = VaristorCircuit::new(16).expect("varistor");
+    let cached = CubicAssocMomentGenerator::new(varistor.ode()).expect("cached generator");
+    let legacy =
+        CubicAssocMomentGenerator::with_caching(varistor.ode(), false).expect("legacy generator");
+    assert_scaled_agree(
+        "varistor",
+        &cached.h3_moments_scaled(0, 3).expect("cached h3"),
+        &legacy.h3_moments_scaled(0, 3).expect("legacy h3"),
+    );
+}
+
 #[test]
 fn cached_cubic_reduction_matches_uncached() {
     let circuit = VaristorCircuit::new(16).expect("circuit");
@@ -146,9 +191,8 @@ fn repeated_shifted_solves_hit_the_cache() {
         "cached solve must be bit-identical"
     );
 
-    // A moment run drives many repeated shifts through the cache: after two
-    // H3 moment iterations the distinct shifts (the eigenvalues of G1) are
-    // factored once each and then only re-used.
+    // The cached generator's H3 chain solves no shifted systems (its tensor
+    // chain stays in the Schur coordinates of G1); it must still run.
     let generator = AssocMomentGenerator::new(q).expect("generator");
     generator.h3_moments(0, 2).expect("h3 moments");
 }

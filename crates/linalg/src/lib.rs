@@ -15,7 +15,9 @@
 //! * Sylvester / Lyapunov solvers (Bartels–Stewart) in real and
 //!   complex-shifted forms ([`sylvester`]),
 //! * Kronecker product / Kronecker sum algebra with *structured* operators
-//!   that never form the \(n^2 \times n^2\) matrices ([`kron`]),
+//!   that never form the \(n^2 \times n^2\) matrices ([`kron`]), and the
+//!   triple Kronecker-sum back-substitution in Schur coordinates
+//!   ([`kron3`]),
 //! * Krylov machinery: modified Gram–Schmidt orthonormalization with
 //!   deflation ([`orth`]), Arnoldi iteration over abstract linear operators
 //!   ([`arnoldi`], [`op`]),
@@ -59,6 +61,7 @@ pub mod hessenberg;
 #[cfg(loom)]
 pub mod interleave;
 pub mod kron;
+pub mod kron3;
 pub mod lowrank;
 pub mod lu;
 pub mod matrix;
@@ -82,6 +85,7 @@ pub use eig::{eigenvalues, Eigenvalues};
 pub use error::LinalgError;
 pub use hessenberg::HessenbergDecomposition;
 pub use kron::{kron, kron_sum, kron_vec, KronSumOp};
+pub use kron3::TripleKronSchur;
 pub use lowrank::{
     compress_factors, fadi_lyapunov, fadi_lyapunov_controlled, heuristic_adi_shift_pairs,
     heuristic_adi_shifts, lr_adi_lyapunov, lr_adi_lyapunov_pairs, lr_adi_lyapunov_pairs_controlled,

@@ -379,7 +379,8 @@ impl SylvesterSolver {
                         }
                     }
                 }
-                solve_small_real(dim, &mut m, &mut w).ok_or_else(|| sylvester_singular(shift))?;
+                solve_small_real(dim, &mut m, &mut w, 0.0)
+                    .ok_or_else(|| sylvester_singular(shift))?;
                 for cl in 0..sj {
                     for rl in 0..si {
                         yt[(j0 + cl, i0 + rl)] = w[cl * si + rl];
@@ -561,10 +562,17 @@ impl SylvesterSolver {
     }
 }
 
-/// Solves an at-most-4×4 real system in place by Gaussian elimination with
-/// partial pivoting, entirely on the stack. Returns `None` on a zero pivot.
+/// Solves the leading `dim × dim` real system of an at-most-`N×N` array in
+/// place by Gaussian elimination with partial pivoting, entirely on the
+/// stack. Returns `None` when a pivot's magnitude is at most `tol` (a zero
+/// pivot for `tol = 0`).
 #[allow(clippy::needless_range_loop)] // rows i and k of `a` are borrowed simultaneously
-fn solve_small_real(dim: usize, a: &mut [[f64; 4]; 4], b: &mut [f64; 4]) -> Option<()> {
+pub(crate) fn solve_small_real<const N: usize>(
+    dim: usize,
+    a: &mut [[f64; N]; N],
+    b: &mut [f64; N],
+    tol: f64,
+) -> Option<()> {
     for k in 0..dim {
         let mut piv = k;
         for i in (k + 1)..dim {
@@ -572,7 +580,7 @@ fn solve_small_real(dim: usize, a: &mut [[f64; 4]; 4], b: &mut [f64; 4]) -> Opti
                 piv = i;
             }
         }
-        if a[piv][k] == 0.0 {
+        if a[piv][k].abs() <= tol {
             return None;
         }
         if piv != k {

@@ -58,6 +58,7 @@ impl AnalyzeConfig {
                 "crates/linalg/src/vector.rs",
                 "crates/linalg/src/sparse.rs",
                 "crates/linalg/src/kron.rs",
+                "crates/linalg/src/kron3.rs",
                 "crates/system/src/poly.rs",
                 "crates/system/src/qldae.rs",
                 "crates/system/src/cubic.rs",
@@ -213,7 +214,7 @@ mod tests {
         assert!(cfg
             .lock_files
             .contains(&PathBuf::from("crates/core/src/session.rs")));
-        assert_eq!(cfg.alloc_files.len(), 7);
+        assert_eq!(cfg.alloc_files.len(), 8);
         assert!(cfg
             .alloc_files
             .contains(&PathBuf::from("crates/system/src/qldae.rs")));
