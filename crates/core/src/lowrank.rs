@@ -23,8 +23,9 @@
 //!   saturates the state dimension the projection is exact, so at seed/test
 //!   sizes the low-rank chains reproduce the dense Bartels–Stewart chains to
 //!   roundoff. `H₃`'s top block is recovered by factored ADI
-//!   ([`vamor_linalg::fadi_lyapunov`]) with rank compression after every
-//!   step.
+//!   ([`vamor_linalg::fadi_lyapunov`]), which keeps its iterate as
+//!   orthonormal frames and a small core truncated after every sweep; each
+//!   chain step compresses the returned factors once more.
 //! * **Weight** — the energy inner product is the LR-ADI observability
 //!   Gramian `M ≈ Z Zᵀ` of `G₁ᵀ M + M G₁ = −CᵀC`
 //!   ([`vamor_linalg::lr_adi_lyapunov`]), consumed *in factored form*: the
@@ -508,7 +509,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
 
     /// `H₃` scaled moments: the `(G₁⊕G₁) ⊕ G₁` bottom block runs as a Tucker
     /// core chain in the `Q`-frame, the `G̃₂` top block is recovered by
-    /// factored ADI with rank compression (see the module docs). Mirrors
+    /// factored ADI in truncated frame form (see the module docs). Mirrors
     /// [`crate::AssocMomentGenerator::h3_moments_scaled`] term for term.
     ///
     /// # Errors
@@ -532,13 +533,14 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         // Tucker core of the bottom block: B_j = (Q ⊗ Q) Ĉ_j Qᵀ,
         // Ĉ₀ = (b̂ ⊗ b̂) b̂ᵀ.
         let mut core = Matrix::from_fn(k * k, k, |i, l| bhat_kron[i] * bhat[l]);
-        // Top block T_j = U Vᵀ, T₀ = (D₁b) bᵀ.
+        // Top block T_j = U Vᵀ, T₀ = (D₁b) bᵀ; without D₁b it starts empty
+        // (rank 0), so the first fADI sees only [−M, Q].
         let (mut tu, mut tv) = match &d1b {
             Some(db) if db.norm2() > 0.0 => (
                 Matrix::from_fn(n, 1, |i, _| db[i]),
                 Matrix::from_fn(n, 1, |i, _| b[i]),
             ),
-            _ => (Matrix::zeros(n, 1), Matrix::zeros(n, 1)),
+            _ => (Matrix::zeros(n, 0), Matrix::zeros(n, 0)),
         };
         let mut d_chain = match (d1, &d1b) {
             (Some(d), Some(db)) => d.matvec(db),
@@ -1075,6 +1077,32 @@ mod tests {
             let diag = low.diagnostics();
             assert!(diag.chain_basis_dim >= 1);
             assert!(diag.adi_peak_residual <= 1e-8 || diag.adi_iterations == 0);
+        }
+    }
+
+    /// At 120 states the chain basis no longer saturates the state space and
+    /// the fADI top block truncates its frames on every sweep; the `H₃`
+    /// chain still matches the dense one.
+    #[test]
+    fn lowrank_h3_chain_matches_dense_when_fadi_truncates() {
+        for with_d1 in [false, true] {
+            let q = chain_qldae(120, with_d1);
+            let dense = AssocMomentGenerator::new(&q).unwrap();
+            let low = LowRankAssocMomentGenerator::new(
+                &q,
+                SolverBackend::Dense,
+                LowRankOptions::default(),
+            )
+            .unwrap();
+            assert_chains_close(
+                &dense.h3_moments_scaled(0, 3).unwrap(),
+                &low.h3_moments_scaled(0, 3).unwrap(),
+                1e-8,
+                "h3",
+            );
+            let diag = low.diagnostics();
+            assert!(diag.chain_basis_dim < 120);
+            assert!(diag.adi_iterations > 0);
         }
     }
 

@@ -379,7 +379,7 @@ fn subtract_coupling(
 
 /// Dot product with four independent partial sums, so the reduction
 /// vectorizes.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
     let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
     let tail: f64 = a4

@@ -22,12 +22,14 @@
 //! * [`fadi_lyapunov`] — the two-factor (factored-ADI) variant for
 //!   *indefinite* right-hand sides `A X + X Aᵀ = U Vᵀ`, the building block of
 //!   the rational-Krylov moment chains (their iterates are sign-indefinite).
+//!   Its iterate is kept as orthonormal frames and a small core,
+//!   `X = Q_U C Q_Vᵀ`, truncated after every sweep.
 //! * [`rational_krylov_basis`] — an orthonormal basis of the rational Krylov
 //!   space `span{b, A⁻¹b, …, ∏(A − pᵢ)⁻¹b}` used by the chain generators to
 //!   project Kronecker-sum recursions onto a small dense core.
-//! * [`compress_factors`] — rank truncation of a product `U Vᵀ` via two thin
-//!   pivoted QRs and a pivoted QR of the small core, keeping chained factored
-//!   iterates from growing without bound.
+//! * [`compress_factors`] — rank truncation of a product `U Vᵀ` through the
+//!   same frame-and-core update, keeping chained factored iterates from
+//!   growing without bound.
 //!
 //! All shifted solves go through the [`ShiftedSolve`] trait, implemented by
 //! both [`crate::ShiftedLuCache`] (dense) and [`crate::ShiftedSparseLuCache`]
@@ -37,10 +39,11 @@
 use crate::arnoldi::arnoldi;
 use crate::eig::eigenvalues;
 use crate::error::LinalgError;
+use crate::kron3::dot;
 use crate::matrix::Matrix;
 use crate::op::LinearOp;
 use crate::orth::OrthoBasis;
-use crate::qr::PivotedQr;
+use crate::qr::{PivotedQr, QrDecomposition};
 use crate::shift_cache::{ShiftedLuCache, ShiftedSparseLuCache};
 use crate::vector::Vector;
 use crate::Result;
@@ -582,7 +585,9 @@ pub struct LrAdiStats {
     pub iterations: usize,
     /// Final relative residual `‖A X + X Aᵀ − rhs‖₂ / ‖rhs‖₂`.
     pub residual: f64,
-    /// Columns of the returned factor(s).
+    /// Columns of the returned factor(s). For [`fadi_lyapunov`] this is the
+    /// rank of the truncated frames, not the number of columns the sweeps
+    /// produced.
     pub rank: usize,
     /// Distinct shifts in the cycled pool.
     pub shift_count: usize,
@@ -631,7 +636,7 @@ fn product_sq_norm(u: &Matrix, v: &Matrix) -> f64 {
     if u.cols() == 0 || v.cols() == 0 {
         return 0.0;
     }
-    let prod = u.transpose().matmul(u).matmul(&v.transpose().matmul(v));
+    let prod = t_matmul(u, u).matmul(&t_matmul(v, v));
     match eigenvalues(&prod) {
         Ok(eig) => eig.spectral_radius().max(0.0),
         Err(_) => u.norm_fro().powi(2) * v.norm_fro().powi(2),
@@ -916,9 +921,9 @@ fn lr_adi_pairs_impl(
 /// `X = U Vᵀ` produced by [`fadi_lyapunov`].
 #[derive(Debug, Clone)]
 pub struct FadiSolution {
-    /// Left factor (`n × rank`).
+    /// Left factor (`n × rank`): the left frame times the core, `Q_U C`.
     pub u: Matrix,
-    /// Right factor (`n × rank`).
+    /// Right factor (`n × rank`): the orthonormal right frame `Q_V`.
     pub v: Matrix,
     /// Convergence report.
     pub stats: LrAdiStats,
@@ -937,9 +942,20 @@ pub struct FadiSolution {
 /// against shifted copies of `A` itself — no transposed factorization is
 /// needed and the same shifted cache serves both sides.
 ///
+/// The iterate is stored as `X = Q_U C Q_Vᵀ`: two orthonormal `n × r` frames
+/// and an `r × r` core. Each sweep splits its two new blocks against the
+/// frames by block classical Gram–Schmidt with reorthogonalization,
+/// orthonormalizes only the remainders, updates the core and truncates it
+/// where a pivoted QR of the core falls below `1e-15` of its leading pivot;
+/// the small factors of that truncation rotate both frames, so they stay
+/// orthonormal and `r` stays at the numerical rank of the iterate instead of
+/// growing by the right-hand-side width every sweep. [`LrAdiStats::rank`]
+/// reports `r`. A zero solution has rank 0 (`n × 0` factors).
+///
 /// # Errors
 ///
-/// Same contract as [`lr_adi_lyapunov`].
+/// Same contract as [`lr_adi_lyapunov`]; a solve that overflows to
+/// non-finite values returns [`LinalgError::InvalidArgument`].
 pub fn fadi_lyapunov(
     op: &dyn ShiftedSolve,
     u0: &Matrix,
@@ -994,25 +1010,7 @@ fn fadi_impl(
     let rhs_norm = product_sq_norm(u0, v0).sqrt().max(f64::MIN_POSITIVE);
     let mut wu = u0.clone();
     let mut wv = v0.clone();
-    let mut ublocks: Vec<Matrix> = Vec::new();
-    let mut vblocks: Vec<Matrix> = Vec::new();
-    // Accumulated factor ranks grow by `r` columns per sweep; past this
-    // width the blocks are merged and recompressed so long runs stay
-    // near the true solution rank instead of `r × iterations`.
-    let compress_threshold = (4 * u0.cols()).max(64);
-    let concat = |blocks: &[Matrix]| {
-        let rank = blocks.iter().map(Matrix::cols).sum::<usize>();
-        let mut m = Matrix::zeros(n, rank);
-        let mut at = 0;
-        // vamor: allow(checkpoint-coverage, reason = "block concatenation is a column memcopy; the FADI sweep loop checkpoints once per sweep")
-        for blk in blocks {
-            for j in 0..blk.cols() {
-                m.set_col(at, &blk.col(j));
-                at += 1;
-            }
-        }
-        m
-    };
+    let mut frame = FactorFrame::new(n, n);
     let mut pool: Vec<f64> = shifts.to_vec();
     let stall_window = if opts.stall_sweeps == 0 {
         usize::MAX
@@ -1032,28 +1030,27 @@ fn fadi_impl(
         }
         let p = pool[cursor % pool.len()];
         cursor += 1;
-        let zi = solve_columns(op, -p, &wu)?;
-        let yi = solve_columns(op, -p, &wv)?;
-        let s = (2.0 * p).sqrt();
-        let mut zb = zi.clone();
-        for x in zb.as_mut_slice() {
-            *x *= s;
+        let (zi, yi) = {
+            let _solve = vamor_obs::span!("fadi_solve");
+            (solve_columns(op, -p, &wu)?, solve_columns(op, -p, &wv)?)
+        };
+        {
+            let _frame = vamor_obs::span!("fadi_frame");
+            // X ← X − 2p Zᵢ Yᵢᵀ: fold the sign into the right block.
+            let s = (2.0 * p).sqrt();
+            frame.add(&zi.scaled(s), &yi.scaled(-s), FADI_TRUNCATION_TOL)?;
         }
-        // X = −Σ 2pᵢ Zᵢ Yᵢᵀ: fold the sign into the right factor block.
-        let mut yb = yi.clone();
-        for x in yb.as_mut_slice() {
-            *x *= -s;
-        }
-        ublocks.push(zb);
-        vblocks.push(yb);
         wu.axpy(2.0 * p, &zi);
         wv.axpy(2.0 * p, &yi);
         iterations += 1;
-        residual = product_sq_norm(&wu, &wv).sqrt() / rhs_norm;
+        residual = {
+            let _residual = vamor_obs::span!("fadi_residual");
+            product_sq_norm(&wu, &wv).sqrt() / rhs_norm
+        };
         vamor_obs::event!(vamor_obs::Event::AdiSweep {
             solver: "fadi",
             sweep: (iterations - 1) as u32,
-            rank: ublocks.iter().map(Matrix::cols).sum::<usize>() as u32,
+            rank: frame.rank() as u32,
             residual,
             shift_re: p,
             shift_im: 0.0,
@@ -1084,19 +1081,11 @@ fn fadi_impl(
                 }
             }
         }
-        if ublocks.iter().map(Matrix::cols).sum::<usize>() > compress_threshold {
-            let (cu, cv) = compress_factors(&concat(&ublocks), &concat(&vblocks), 1e-15)?;
-            ublocks = vec![cu];
-            vblocks = vec![cv];
-        }
     }
-    let u = concat(&ublocks);
-    let v = concat(&vblocks);
-    let rank = u.cols();
     let stats = LrAdiStats {
         iterations,
         residual,
-        rank,
+        rank: frame.rank(),
         shift_count: shifts.len(),
         shift_reselections: reselections,
     };
@@ -1110,24 +1099,284 @@ fn fadi_impl(
             return Err(LinalgError::AdiNonConvergence { stats });
         }
     }
+    let (u, v) = frame.into_factors();
     Ok(FadiSolution { u, v, stats })
 }
 
-/// Orthonormalizes the columns of `m` by modified Gram–Schmidt with
-/// deflation, returning `(Q, QᵀM)` — works for any column count (unlike a
-/// Householder QR, which needs `rows ≥ cols`).
-fn thin_orth(m: &Matrix) -> Result<Option<(Matrix, Matrix)>> {
-    let mut basis = OrthoBasis::with_tolerance(m.rows(), 1e-14);
-    basis.extend_from((0..m.cols()).map(|j| m.col(j)))?;
-    if basis.is_empty() {
-        return Ok(None);
-    }
-    let q = basis.to_matrix()?;
-    let a = q.transpose().matmul(m);
-    Ok(Some((q, a)))
+/// Relative pivot tolerance at which [`fadi_lyapunov`] truncates its core
+/// after every sweep.
+const FADI_TRUNCATION_TOL: f64 = 1e-15;
+
+/// A remainder column is dropped when Gram–Schmidt leaves at most this
+/// fraction of its reference norm.
+const DEFLATION_TOL: f64 = 1e-14;
+
+/// A factored matrix `X = Q_U C Q_Vᵀ` held as two orthonormal `n × r` frames
+/// and a small `r × r` core, truncated after every update.
+struct FactorFrame {
+    qu: Matrix,
+    qv: Matrix,
+    core: Matrix,
 }
 
-/// Splits a small core matrix (`rows ≥ cols`) as `core ≈ L Rᵀ` with `L`
+impl FactorFrame {
+    /// The zero `nu × nv` matrix (rank 0).
+    fn new(nu: usize, nv: usize) -> Self {
+        FactorFrame {
+            qu: Matrix::zeros(nu, 0),
+            qv: Matrix::zeros(nv, 0),
+            core: Matrix::zeros(0, 0),
+        }
+    }
+
+    fn rank(&self) -> usize {
+        self.core.rows()
+    }
+
+    /// `X ← X + Z Yᵀ`, truncated at relative pivot tolerance `tol`.
+    ///
+    /// Each block is split against its frame by block classical Gram–Schmidt
+    /// with reorthogonalization (BCGS2). When the frames are non-empty,
+    /// remainder directions whose rows (columns) of the core jointly stay
+    /// below a tenth of the truncation threshold are dropped between the two
+    /// rounds: the truncation would discard them anyway, and the second
+    /// round, the rotation and the truncation then run on the rest only. The
+    /// core is rebuilt from the final coefficients, and a pivoted QR of it
+    /// plus a QR of its right factor give the truncated core and the two
+    /// small rotations that keep the frames orthonormal.
+    fn add(&mut self, z: &Matrix, y: &Matrix, tol: f64) -> Result<()> {
+        if !z.is_finite() || !y.is_finite() {
+            return Err(LinalgError::InvalidArgument(
+                "factor frame: block has non-finite entries".into(),
+            ));
+        }
+        let r = self.rank();
+        let (au, mut pu, mut su) = project_block(&self.qu, z);
+        let (av, mut pv, mut sv) = project_block(&self.qv, y);
+        let core = self.extended_core(&au, &su, &av, &sv);
+        let scale = (0..core.cols())
+            .map(|j| core.col(j).norm2())
+            .fold(0.0, f64::max);
+        if scale == 0.0 {
+            *self = FactorFrame::new(z.rows(), y.rows());
+            return Ok(());
+        }
+        if r > 0 {
+            let drop_tol = 0.1 * tol * scale;
+            (pu, su) = select(&pu, &su, &significant_rows(&core, r, drop_tol));
+            (pv, sv) = select(&pv, &sv, &significant_rows(&core.transpose(), r, drop_tol));
+        }
+        let (au, pu, su) = reorthogonalize(&self.qu, au, pu, su);
+        let (av, pv, sv) = reorthogonalize(&self.qv, av, pv, sv);
+        let core = self.extended_core(&au, &su, &av, &sv);
+        let (lu, lv, truncated) = truncate_core(&core, tol)?;
+        self.qu = rotate(&self.qu, &pu, &lu);
+        self.qv = rotate(&self.qv, &pv, &lv);
+        self.core = truncated;
+        Ok(())
+    }
+
+    /// The core of `X + Z Yᵀ` over the extended frames `[Q_U P_U]`,
+    /// `[Q_V P_V]` for `Z = Q_U A_U + P_U S_U`, `Y = Q_V A_V + P_V S_V`:
+    /// `[C 0; 0 0] + [A_U; S_U][A_V; S_V]ᵀ`.
+    fn extended_core(&self, au: &Matrix, su: &Matrix, av: &Matrix, sv: &Matrix) -> Matrix {
+        let stack = |a: &Matrix, s: &Matrix| {
+            let mut g = Matrix::zeros(a.rows() + s.rows(), a.cols());
+            g.set_block(0, 0, a);
+            g.set_block(a.rows(), 0, s);
+            g
+        };
+        let mut core = stack(au, su).matmul(&stack(av, sv).transpose());
+        let r = self.rank();
+        for i in 0..r {
+            for (c, &old) in core.row_mut(i)[..r].iter_mut().zip(self.core.row(i)) {
+                *c += old;
+            }
+        }
+        core
+    }
+
+    /// The factor pair `(Q_U C, Q_V)`.
+    fn into_factors(self) -> (Matrix, Matrix) {
+        (self.qu.matmul(&self.core), self.qv)
+    }
+}
+
+/// `dst += Σₖ coef[k] · src[k]` over the `dst.len()`-long rows of `src`,
+/// four rows per pass over `dst` so each destination entry is loaded and
+/// stored once per four products.
+fn add_rows(dst: &mut [f64], coef: &[f64], src: &[f64]) {
+    let len = dst.len();
+    if len == 0 {
+        return;
+    }
+    let mut c4 = coef.chunks_exact(4);
+    let mut s4 = src.chunks_exact(4 * len);
+    for (c, s) in (&mut c4).zip(&mut s4) {
+        let (s0, rest) = s.split_at(len);
+        let (s1, rest) = rest.split_at(len);
+        let (s2, s3) = rest.split_at(len);
+        for ((((x, a), b), e), g) in dst.iter_mut().zip(s0).zip(s1).zip(s2).zip(s3) {
+            *x += (c[0] * a + c[1] * b) + (c[2] * e + c[3] * g);
+        }
+    }
+    for (&c, s) in c4.remainder().iter().zip(s4.remainder().chunks_exact(len)) {
+        for (x, sv) in dst.iter_mut().zip(s) {
+            *x += c * sv;
+        }
+    }
+}
+
+/// Row-major `Qᵀ Z` for `Q` `n × r` and `Z` `n × b`: each block of four rows
+/// of `Z` is folded into every row of the small result.
+fn t_matmul(q: &Matrix, z: &Matrix) -> Matrix {
+    let (n, r) = q.shape();
+    let mut out = Matrix::zeros(r, z.cols());
+    let mut coef = [0.0; 4];
+    for i in (0..n).step_by(4) {
+        let rows = (n - i).min(4);
+        let zrows = &z.as_slice()[i * z.cols()..(i + rows) * z.cols()];
+        for a in 0..r {
+            for (t, c) in coef[..rows].iter_mut().enumerate() {
+                *c = q.row(i + t)[a];
+            }
+            add_rows(out.row_mut(a), &coef[..rows], zrows);
+        }
+    }
+    out
+}
+
+/// `Z ← Z − Q A` in place, row-major.
+fn sub_matmul(z: &mut Matrix, q: &Matrix, a: &Matrix) {
+    let neg = a.scaled(-1.0);
+    for i in 0..z.rows() {
+        add_rows(z.row_mut(i), q.row(i), neg.as_slice());
+    }
+}
+
+/// `[Q P] L` for frames `Q` (`n × r`), `P` (`n × m`) and a small
+/// `(r + m) × k` rotation `L`.
+fn rotate(q: &Matrix, p: &Matrix, l: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(q.rows(), l.cols());
+    let (top, bottom) = l.as_slice().split_at(q.cols() * l.cols());
+    for i in 0..q.rows() {
+        let row = out.row_mut(i);
+        add_rows(row, q.row(i), top);
+        add_rows(row, p.row(i), bottom);
+    }
+    out
+}
+
+/// First round of the block split: `Z = Q A + P₁ S₁` with `P₁` (`n × m`)
+/// orthonormal, by one block classical Gram–Schmidt projection and
+/// [`orth_block`] on the remainder; remainder columns at most
+/// `DEFLATION_TOL` of their column of `Z` are dropped. `P₁` is only roughly
+/// orthogonal to `Q` (the projection cancels most of `Z`), which
+/// [`reorthogonalize`] repairs.
+fn project_block(q: &Matrix, z: &Matrix) -> (Matrix, Matrix, Matrix) {
+    let mut floor = vec![0.0; z.cols()];
+    for i in 0..z.rows() {
+        for (f, &x) in floor.iter_mut().zip(z.row(i)) {
+            *f += x * x;
+        }
+    }
+    for f in &mut floor {
+        *f = f.sqrt();
+    }
+    let a = t_matmul(q, z);
+    let mut w = z.clone();
+    sub_matmul(&mut w, q, &a);
+    let (p, s) = orth_block(&w, &floor);
+    (a, p, s)
+}
+
+/// Second round of the block split: projects the orthonormal `P₁` against
+/// `Q` once more and re-orthonormalizes it, `P₁ = Q A₂ + P S₂`, so
+/// `Z = Q (A₁ + A₂ S₁) + P S₂ S₁` with `P` orthogonal to `Q`.
+fn reorthogonalize(q: &Matrix, mut a: Matrix, p1: Matrix, s1: Matrix) -> (Matrix, Matrix, Matrix) {
+    if q.cols() == 0 {
+        return (a, p1, s1);
+    }
+    let a2 = t_matmul(q, &p1);
+    let mut w2 = p1;
+    sub_matmul(&mut w2, q, &a2);
+    let (p, s2) = orth_block(&w2, &vec![1.0; w2.cols()]);
+    a.axpy(1.0, &a2.matmul(&s1));
+    (a, p, s2.matmul(&s1))
+}
+
+/// Which of the rows `r..` of `core` to keep, as offsets from `r`: the
+/// smallest rows are dropped while their joint Frobenius norm stays at most
+/// `drop_tol`.
+fn significant_rows(core: &Matrix, r: usize, drop_tol: f64) -> Vec<usize> {
+    let sq: Vec<f64> = (r..core.rows())
+        .map(|i| core.row(i).iter().map(|x| x * x).sum())
+        .collect();
+    let mut order: Vec<usize> = (0..sq.len()).collect();
+    order.sort_by(|&a, &b| sq[a].total_cmp(&sq[b]));
+    let mut keep = vec![true; sq.len()];
+    let mut dropped = 0.0;
+    for &a in &order {
+        dropped += sq[a];
+        if dropped > drop_tol * drop_tol {
+            break;
+        }
+        keep[a] = false;
+    }
+    (0..sq.len()).filter(|&a| keep[a]).collect()
+}
+
+/// The columns `keep` of a frame block `P` and the matching rows of its
+/// coefficients `S`.
+fn select(p: &Matrix, s: &Matrix, keep: &[usize]) -> (Matrix, Matrix) {
+    (
+        Matrix::from_fn(p.rows(), keep.len(), |i, t| p[(i, keep[t])]),
+        Matrix::from_fn(keep.len(), s.cols(), |t, j| s[(keep[t], j)]),
+    )
+}
+
+/// Orthonormalizes the columns of `W` (`n × b`) by classical Gram–Schmidt,
+/// repeating the projection for a column that lost more than `1 − 1/√2` of
+/// its norm (Daniel–Gragg–Kaufman–Stewart), and dropping columns left with at
+/// most `DEFLATION_TOL · floor[j]`. Returns `(P, S)` with `P` `n × m`
+/// orthonormal and `W ≈ P S`. The kept columns are stored contiguously, so
+/// each projection is one pass of dot products and one [`add_rows`] pass.
+fn orth_block(w: &Matrix, floor: &[f64]) -> (Matrix, Matrix) {
+    let (n, b) = w.shape();
+    let wt = w.transpose();
+    let mut basis: Vec<f64> = Vec::with_capacity(n * b);
+    let mut s = Matrix::zeros(b, b);
+    let mut c = vec![0.0; b];
+    let mut m = 0;
+    for (j, &fj) in floor.iter().enumerate() {
+        let mut v = wt.row(j).to_vec();
+        let mut norm = dot(&v, &v).sqrt();
+        for _ in 0..2 {
+            if m == 0 {
+                break;
+            }
+            let before = norm;
+            for (a, (ca, p)) in c.iter_mut().zip(basis.chunks_exact(n)).enumerate() {
+                *ca = -dot(p, &v);
+                s[(a, j)] -= *ca;
+            }
+            add_rows(&mut v, &c[..m], &basis);
+            norm = dot(&v, &v).sqrt();
+            if norm > std::f64::consts::FRAC_1_SQRT_2 * before {
+                break;
+            }
+        }
+        if norm > DEFLATION_TOL * fj && norm > 0.0 {
+            s[(m, j)] = norm;
+            basis.extend(v.iter().map(|x| x / norm));
+            m += 1;
+        }
+    }
+    let p = Matrix::from_fn(n, m, |i, a| basis[a * n + i]);
+    (p, s.submatrix(0, m, 0, b))
+}
+
+/// Splits a small core matrix (`rows ≥ cols`) as `core ≈ L Sᵀ` with `L`
 /// orthonormal and rank revealed by a pivoted QR at relative tolerance
 /// `tol`.
 fn split_core(core: &Matrix, tol: f64) -> Result<(Matrix, Matrix)> {
@@ -1147,37 +1396,44 @@ fn split_core(core: &Matrix, tol: f64) -> Result<(Matrix, Matrix)> {
     Ok((l, s))
 }
 
+/// Truncates a nonzero small core as `core ≈ L C Rᵀ` with `L`, `R`
+/// orthonormal and `C` square: a pivoted QR reveals the rank
+/// ([`split_core`]) and a QR of the right factor makes it orthonormal.
+fn truncate_core(core: &Matrix, tol: f64) -> Result<(Matrix, Matrix, Matrix)> {
+    if core.rows() >= core.cols() {
+        // core ≈ L Sᵀ = L (Q_S R_S)ᵀ.
+        let (l, s) = split_core(core, tol)?;
+        let qr = QrDecomposition::new(&s)?;
+        Ok((l, qr.q().clone(), qr.r().transpose()))
+    } else {
+        // Pivoted QR needs rows ≥ cols: coreᵀ ≈ L Sᵀ, so core ≈ Q_S R_S Lᵀ.
+        let (l, s) = split_core(&core.transpose(), tol)?;
+        let qr = QrDecomposition::new(&s)?;
+        Ok((qr.q().clone(), l, qr.r().clone()))
+    }
+}
+
 /// Rank-truncates a factored product `U Vᵀ` (both `n × r`, any `r`) to the
-/// requested relative tolerance: thin Gram–Schmidt frames orthogonalize each
-/// factor, a pivoted QR of the small core reveals the numerical rank, and
-/// the truncated core is folded back into the frames. Returns the compressed
-/// pair (`n × k`); a numerically zero product compresses to a single zero
-/// column so downstream shapes stay valid.
+/// requested relative tolerance: block Gram–Schmidt frames orthogonalize
+/// each factor, a pivoted QR of the small core reveals the numerical rank,
+/// and the truncated core is folded into the left frame. Returns the
+/// compressed pair (`n × k`); a numerically zero product compresses to rank
+/// 0.
 ///
 /// # Errors
 ///
-/// Propagates QR failures (non-finite input).
+/// Returns an error for mismatched column counts or non-finite entries.
 pub fn compress_factors(u: &Matrix, v: &Matrix, tol: f64) -> Result<(Matrix, Matrix)> {
-    let zero = |u_rows: usize, v_rows: usize| (Matrix::zeros(u_rows, 1), Matrix::zeros(v_rows, 1));
-    if u.cols() == 0 || v.cols() == 0 {
-        return Ok(zero(u.rows(), v.rows()));
+    if u.cols() != v.cols() {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "compress factors: {} vs {} columns",
+            u.cols(),
+            v.cols()
+        )));
     }
-    let Some((qu, au)) = thin_orth(u)? else {
-        return Ok(zero(u.rows(), v.rows()));
-    };
-    let Some((qv, av)) = thin_orth(v)? else {
-        return Ok(zero(u.rows(), v.rows()));
-    };
-    let core = au.matmul(&av.transpose()); // ru × rv
-    if core.rows() >= core.cols() {
-        let (l, s) = split_core(&core, tol)?;
-        Ok((qu.matmul(&l), qv.matmul(&s)))
-    } else {
-        // Pivoted QR needs rows ≥ cols: factor the transposed core and swap
-        // the roles back (core ≈ S Lᵀ).
-        let (l, s) = split_core(&core.transpose(), tol)?;
-        Ok((qu.matmul(&s), qv.matmul(&l)))
-    }
+    let mut frame = FactorFrame::new(u.rows(), v.rows());
+    frame.add(u, v, tol)?;
+    Ok(frame.into_factors())
 }
 
 /// Orthonormal basis of the rational Krylov space
@@ -1414,6 +1670,52 @@ mod tests {
             "residual {:.3e}",
             lyap_residual(&a, &x, &rhs)
         );
+    }
+
+    /// A long fADI run whose raw accumulated rank (`b` columns per sweep)
+    /// would pass `3n`: the frame truncation keeps the rank at the solution's
+    /// numerical rank, the right frame orthonormal and the residual small.
+    #[test]
+    fn fadi_frames_truncate_long_runs_to_the_solution_rank() {
+        let (n, b) = (60, 6);
+        // Upper-bidiagonal (non-normal, Hurwitz) with its spectrum in
+        // [−3, −1]; a single shift off the spectrum keeps ADI running long.
+        let d = |i: usize| 1.0 + 2.0 * i as f64 / (n - 1) as f64;
+        let a = Matrix::from_fn(n, n, |i, j| match j {
+            _ if j == i => -d(i),
+            _ if j == i + 1 => 0.5,
+            _ => 0.0,
+        });
+        let cache = dense_cache(&a);
+        let u0 = Matrix::from_fn(n, b, |i, j| ((i + 2 * j) % 5) as f64 - 2.0);
+        let v0 = Matrix::from_fn(n, b, |i, j| ((i * 3 + j) % 7) as f64 / 3.0 - 1.0);
+        let shifts = [6.0];
+        let opts = LrAdiOptions {
+            tol: 1e-12,
+            max_iterations: 200,
+            ..LrAdiOptions::default()
+        };
+        let sol = fadi_lyapunov(&cache, &u0, &v0, &shifts, &opts).unwrap();
+        assert!(
+            sol.stats.iterations * b > 3 * n,
+            "only {} sweeps: the raw rank never passes 3n",
+            sol.stats.iterations
+        );
+        let x = sol.u.matmul(&sol.v.transpose());
+        let rhs = u0.matmul(&v0.transpose());
+        let res = lyap_residual(&a, &x, &rhs) / rhs.max_abs();
+        assert!(res <= 1e-8, "relative Lyapunov residual {res:.3e}");
+        let dense = crate::sylvester::solve_lyapunov(&a, &rhs).unwrap();
+        let dense_rank = PivotedQr::new(&dense).unwrap().rank(1e-13);
+        assert_eq!(sol.stats.rank, sol.u.cols());
+        assert!(
+            sol.stats.rank <= n && sol.stats.rank.abs_diff(dense_rank) <= 4,
+            "frame rank {} vs dense numerical rank {dense_rank}",
+            sol.stats.rank
+        );
+        let gram = sol.v.transpose().matmul(&sol.v);
+        let orth = (&gram - &Matrix::identity(sol.v.cols())).max_abs();
+        assert!(orth <= 1e-12, "VᵀV deviates from I by {orth:.3e}");
     }
 
     #[test]
